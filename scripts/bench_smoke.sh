@@ -65,8 +65,8 @@ else
 fi
 
 # Opt-in perf regression guard: compares the scheduler hot-path medians
-# against the committed baseline (BENCH_PR10.json); >15% fails.  Off by
-# default because wall-clock numbers are machine-specific.
+# against the committed baseline (bench/baseline/perf_guard.json); >15%
+# fails.  Off by default because wall-clock numbers are machine-specific.
 if [ "${PERF_GUARD:-0}" = "1" ]; then
   python3 scripts/perf_guard.py --build-dir "$BUILD"
 fi

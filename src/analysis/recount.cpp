@@ -1,34 +1,46 @@
 #include "analysis/recount.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/assert.hpp"
+#include "core/radix_sort.hpp"
 #include "core/time.hpp"
 
 namespace pfair {
 
 namespace {
 
+// One placement for switch counting: 16 B, so the cell array and its
+// radix scratch stay at 32 B per subtask.
 struct ProcCell {
-  int proc;
   std::int64_t at;
+  std::int32_t proc;
   std::int32_t task;
 };
 
-// Context switches from placements alone: sort each processor's
-// placements by time; every adjacent pair with different tasks is one
-// switch (idle gaps do not reset the previous occupant).
-void count_switches(std::vector<ProcCell>& cells, QualityCounters& q) {
-  std::sort(cells.begin(), cells.end(),
-            [](const ProcCell& a, const ProcCell& b) {
-              return a.proc != b.proc ? a.proc < b.proc : a.at < b.at;
-            });
-  for (std::size_t i = 1; i < cells.size(); ++i) {
-    if (cells[i].proc != cells[i - 1].proc) continue;
-    if (cells[i].task == cells[i - 1].task) continue;
-    ++q.context_switches;
-    ++q.per_proc_switches[static_cast<std::size_t>(cells[i].proc)];
+// Context switches from placements alone: walk the placements in time
+// order with each processor's last occupant; every change of occupant
+// is one switch (idle gaps do not reset the previous occupant).  This
+// counts the same adjacent pairs as sorting by (processor, time).
+// Takes `cells` by value (moved in): its buffer is freed on return.
+void count_switches(std::vector<ProcCell> cells, QualityCounters& q) {
+  std::vector<ProcCell> scratch;
+  radix_sort(std::span(cells), scratch,
+             [](const ProcCell& c) { return c.at; });
+  const std::size_t procs = q.per_proc_switches.size();
+  std::vector<std::int32_t> last(procs, -1);
+  for (const ProcCell& c : cells) {
+    PFAIR_REQUIRE(c.proc >= 0 && static_cast<std::size_t>(c.proc) < procs,
+                  "quality recount: placement on processor " << c.proc
+                      << " outside 0.." << procs - 1);
+    const auto p = static_cast<std::size_t>(c.proc);
+    if (last[p] >= 0 && last[p] != c.task) {
+      ++q.context_switches;
+      ++q.per_proc_switches[p];
+    }
+    last[p] = c.task;
   }
 }
 
@@ -46,31 +58,34 @@ QualityCounters recount_quality(const TaskSystem& sys,
   q.decision_points = sched.horizon();
   std::int64_t placed_total = 0;
   std::vector<ProcCell> cells;
+  cells.reserve(static_cast<std::size_t>(sys.total_subtasks()));
   for (std::int64_t k = 0; k < sched.num_tasks(); ++k) {
     const Task& task = sys.task(k);
+    SlotPlacement prev;
     for (std::int64_t s = 0; s < sched.num_subtasks(k); ++s) {
       const SubtaskRef ref{static_cast<std::int32_t>(k),
                            static_cast<std::int32_t>(s)};
       const SlotPlacement pl = sched.placement(ref);
       ++placed_total;
       cells.push_back(
-          ProcCell{pl.proc, pl.slot, static_cast<std::int32_t>(k)});
-      if (s == 0) continue;
-      const SlotPlacement prev =
-          sched.placement(SubtaskRef{ref.task, ref.seq - 1});
-      if (prev.proc != pl.proc) ++q.migrations;
-      // The task ran at prev.slot, its next subtask was ready at
-      // prev.slot + 1 (eligible, predecessor done) but did not run
-      // there: one preemption, charged at that slot.  Later waiting
-      // slots are not re-charged — the incremental path only considers
-      // the previous slot's occupants.
-      if (pl.slot > prev.slot + 1 && task.eligible_at(s) <= prev.slot + 1) {
-        ++q.preemptions;
+          ProcCell{pl.slot, pl.proc, static_cast<std::int32_t>(k)});
+      if (s > 0) {
+        if (prev.proc != pl.proc) ++q.migrations;
+        // The task ran at prev.slot, its next subtask was ready at
+        // prev.slot + 1 (eligible, predecessor done) but did not run
+        // there: one preemption, charged at that slot.  Later waiting
+        // slots are not re-charged — the incremental path only considers
+        // the previous slot's occupants.
+        if (pl.slot > prev.slot + 1 &&
+            task.eligible_at(s) <= prev.slot + 1) {
+          ++q.preemptions;
+        }
       }
+      prev = pl;
     }
   }
   q.idle_slots = q.decision_points * procs - placed_total;
-  count_switches(cells, q);
+  count_switches(std::move(cells), q);
   return q;
 }
 
@@ -88,13 +103,19 @@ QualityCounters recount_quality(const TaskSystem& sys,
   // of the per-task scan directly: a preemption is a subtask that was
   // ready the instant its predecessor completed (eligibility already
   // passed) yet starts strictly later.
+  const auto total = static_cast<std::size_t>(sys.total_subtasks());
   std::vector<std::int64_t> readies;
   std::vector<std::int64_t> starts;
   std::vector<std::int64_t> ends;
   std::vector<ProcCell> cells;
+  readies.reserve(total);
+  starts.reserve(total);
+  ends.reserve(total);
+  cells.reserve(total);
   for (std::int64_t k = 0; k < sched.num_tasks(); ++k) {
     const Task& task = sys.task(k);
     std::int64_t prev_end = 0;
+    int prev_proc = -1;
     for (std::int64_t s = 0; s < sched.num_subtasks(k); ++s) {
       const SubtaskRef ref{static_cast<std::int32_t>(k),
                            static_cast<std::int32_t>(s)};
@@ -105,49 +126,50 @@ QualityCounters recount_quality(const TaskSystem& sys,
       readies.push_back(s == 0 ? elig : std::max(elig, prev_end));
       starts.push_back(start);
       ends.push_back(pl.completion().raw_ticks());
-      cells.push_back(
-          ProcCell{pl.proc, start, static_cast<std::int32_t>(k)});
+      cells.push_back(ProcCell{start, pl.proc, static_cast<std::int32_t>(k)});
       if (s > 0) {
-        if (sched.placement(SubtaskRef{ref.task, ref.seq - 1}).proc !=
-            pl.proc) {
-          ++q.migrations;
-        }
+        if (prev_proc != pl.proc) ++q.migrations;
         if (start > prev_end && elig <= prev_end) ++q.preemptions;
       }
       prev_end = pl.completion().raw_ticks();
+      prev_proc = pl.proc;
     }
   }
-  count_switches(cells, q);
+  count_switches(std::move(cells), q);
   if (starts.empty()) return q;
+
+  std::vector<std::int64_t> scratch;
+  for (std::vector<std::int64_t>* v : {&readies, &starts, &ends}) {
+    radix_sort(std::span(*v), scratch, [](std::int64_t x) { return x; });
+  }
 
   // Decision instants: every readiness instant, plus every completion at
   // or before the last start (the simulator stops once all work is
-  // placed, so later completions are never stepped).
-  const std::int64_t t_last =
-      *std::max_element(starts.begin(), starts.end());
-  std::vector<std::int64_t> instants;
-  instants.reserve(readies.size() + ends.size());
-  instants.insert(instants.end(), readies.begin(), readies.end());
-  for (const std::int64_t e : ends) {
-    if (e <= t_last) instants.push_back(e);
-  }
-  std::sort(instants.begin(), instants.end());
-  instants.erase(std::unique(instants.begin(), instants.end()),
-                 instants.end());
-
-  std::sort(readies.begin(), readies.end());
-  std::sort(starts.begin(), starts.end());
-  std::sort(ends.begin(), ends.end());
-
+  // placed, so later completions are never stepped) — a linear merge of
+  // the sorted readies and ends, duplicates collapsed.
+  //
   // One sweep, three monotone cursors, for decision points and idle
   // capacity.  At each instant t (before that instant's dispatch):
   // busy = started strictly before t and not yet completed; placed =
   // the batch dispatched exactly at t.  Every free processor the batch
   // leaves unfilled idles for this decision instant.
-  std::size_t i_start_lt = 0; // start < t
-  std::size_t i_start_le = 0; // start <= t
-  std::size_t i_end_le = 0;   // completion <= t
-  for (const std::int64_t t : instants) {
+  const std::int64_t t_last = starts.back();
+  std::size_t i_ready = 0;     // merge cursor over readies
+  std::size_t i_end = 0;       // merge cursor over ends <= t_last
+  std::size_t i_start_lt = 0;  // start < t
+  std::size_t i_start_le = 0;  // start <= t
+  std::size_t i_end_le = 0;    // completion <= t
+  for (;;) {
+    const bool has_ready = i_ready < readies.size();
+    const bool has_end = i_end < ends.size() && ends[i_end] <= t_last;
+    if (!has_ready && !has_end) break;
+    const std::int64_t t =
+        has_ready && (!has_end || readies[i_ready] <= ends[i_end])
+            ? readies[i_ready]
+            : ends[i_end];
+    while (i_ready < readies.size() && readies[i_ready] == t) ++i_ready;
+    while (i_end < ends.size() && ends[i_end] == t) ++i_end;
+
     while (i_start_lt < starts.size() && starts[i_start_lt] < t) {
       ++i_start_lt;
     }

@@ -12,7 +12,14 @@
 // `pfairsim --profile` re-verifies it on every run.
 //
 // Both overloads require a *complete* schedule (every subtask placed) —
-// a truncated run's counters depend on where the horizon cut it.
+// a truncated run's counters depend on where the horizon cut it — with
+// every placement on one of the system's processors.
+//
+// Cost is linear in the number of subtasks: placements are ordered by
+// stable radix passes (core/radix_sort.hpp), the DVQ decision instants
+// are a linear merge of the sorted readiness and completion instants,
+// and memory is O(subtasks + M), independent of how far the schedule
+// reaches in time.
 #pragma once
 
 #include "dvq/dvq_schedule.hpp"

@@ -232,7 +232,9 @@ DvqCycleSchedule schedule_dvq_cyclic(const TaskSystem& sys,
     }
   }
   sim.run_until(Time::slots(limit));
-  stats.sim_slots = limit - stats.slots_skipped;
+  // The engine's clock stopped at its last event; every slot it reached
+  // and did not warp over was stepped.
+  stats.sim_slots = sim.now().slot_ceil() - stats.slots_skipped;
   const bool complete = sim.done();
   if (!stats.engaged) {
     return DvqCycleSchedule(std::move(sim).take_schedule());

@@ -128,8 +128,11 @@ void publish_profile(const ProfileSnapshot& snap, MetricsRegistry& reg);
 
 namespace detail {
 struct ThreadState;
-/// Non-null while a ProfScope is live on this thread.
-extern thread_local ThreadState* tl_state;
+/// Non-null while a ProfScope is live on this thread.  constinit: the
+/// variable is constant-initialized, so accesses from other translation
+/// units need no TLS init wrapper (whose guard load UBSan reports as a
+/// null-pointer load).
+extern constinit thread_local ThreadState* tl_state;
 }  // namespace detail
 
 /// True iff spans on this thread currently record anywhere.

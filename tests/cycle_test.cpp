@@ -240,6 +240,35 @@ TEST(CycleFastForward, DeterministicEngagement) {
   EXPECT_GT(dc.stats().slots_skipped, 0);
 }
 
+// sim_slots counts the slots the engine stepped, not the horizon minus
+// the skipped cycles, in both models: on this fully utilized 2-processor
+// system both skip 1999 of the 12-slot cycles and step about one cycle.
+// The default run limit lies far past the 24000-slot task horizon (as
+// pfairsim runs it), so limit - skipped would read 48028 for DVQ.
+TEST(CycleFastForward, SimSlotsCountsSteppedSlots) {
+  constexpr std::int64_t kHorizon = 24000;
+  std::vector<Task> tasks;
+  const Weight weights[] = {Weight(1, 2), Weight(1, 3), Weight(1, 6),
+                            Weight(3, 4), Weight(1, 4)};
+  for (std::size_t i = 0; i < std::size(weights); ++i) {
+    tasks.push_back(
+        Task::periodic("T" + std::to_string(i), weights[i], kHorizon));
+  }
+  const TaskSystem sys(std::move(tasks), 2);
+
+  const CycleSchedule sc = schedule_sfq_cyclic(sys, SfqOptions{});
+  ASSERT_TRUE(sc.stats().engaged);
+  EXPECT_EQ(sc.stats().slots_skipped, 1999 * 12);
+  EXPECT_EQ(sc.stats().sim_slots, 12);
+
+  const FixedYield y(kQuantum - Time::slots_frac(0, 3, 4));
+  const DvqCycleSchedule dc = schedule_dvq_cyclic(sys, y, DvqOptions{});
+  ASSERT_TRUE(dc.stats().engaged);
+  EXPECT_EQ(dc.stats().slots_skipped, 1999 * 12);
+  EXPECT_EQ(dc.stats().sim_slots, 11);
+  EXPECT_LE(dc.stats().sim_slots + dc.stats().slots_skipped, kHorizon);
+}
+
 // Systems that defeat exact fingerprinting must refuse fast-forward and
 // fall back to the plain full run, bit-identically.
 TEST(CycleFastForward, RefusesAndFallsBackCleanly) {
