@@ -60,6 +60,14 @@ TaskSystem make_scaling_system(std::int64_t n) {
   return TaskSystem(std::move(tasks), procs);
 }
 
+// A trace sink that only counts: the cost of emitting the event stream
+// itself, without serialization or I/O.
+class CountingSink final : public TraceSink {
+ public:
+  void on_event(const TraceEvent&) override { ++events; }
+  std::uint64_t events = 0;
+};
+
 template <typename Fn>
 double best_ms(int reps, Fn&& fn) {
   double best = 0.0;
@@ -209,61 +217,103 @@ int run_bench(pfair::bench::BenchContext& ctx) {
   std::cout << "horizon " << kHorizon << " slots; fast = incremental "
             << "(calendar/event heaps + packed keys), ref = naive rescan\n";
 
-  // --- Auditor overhead: invariant checking on the production path ---
-  // The auditor's event mask fits in kDecisionTraceEvents, so an
-  // auditor-only run stays on the O(changes) fast path with only the
-  // decision-outcome events emitted.  Required shape: < 2.5x the
-  // uninstrumented runtime at n = 4096.  (The bound tracks the
-  // denominator: every speedup of the plain path inflates the ratio
-  // even when the audited run's absolute cost improves too, so the
+  // --- Observability overhead on the production path (n = 4096) ---
+  // Auditor, metrics and a counting trace sink each ride on the one
+  // decision body; the ratios are against the unobserved run.  Required
+  // shape: audit < 2.5x, metrics <= 1.2x, trace <= 3x.  (The audit bound
+  // tracks the denominator: every speedup of the plain path inflates the
+  // ratio even when the audited run's absolute cost improves too, so the
   // constant was relaxed from 2x when the SIMD+staging ready queue
   // landed.)
-  std::cout << "\n=== auditor overhead (n = 4096) ===\n\n";
+  std::cout << "\n=== observability overhead (n = 4096) ===\n\n";
   double audit_sfq_ratio = 0.0, audit_dvq_ratio = 0.0;
+  double metrics_sfq_ratio = 0.0, metrics_dvq_ratio = 0.0;
+  double trace_sfq_ratio = 0.0, trace_dvq_ratio = 0.0;
   bool audit_clean = true;
   {
     constexpr std::int64_t n = 4096;
     const TaskSystem sys = make_scaling_system(n);
-    const int reps = 5;
+    const int reps = 7;
     SfqOptions opts;
     opts.horizon_limit = kHorizon + 8;
-    const double sfq_off =
-        best_ms(reps, [&] { (void)schedule_sfq(sys, opts); });
-    const double sfq_on = best_ms(reps, [&] {
-      InvariantAuditor auditor(sys);
-      SfqOptions aopts = opts;
-      aopts.trace = &auditor;
-      (void)schedule_sfq(sys, aopts);
-      audit_clean &= auditor.clean();
-    });
     const BernoulliYield yields(static_cast<std::uint64_t>(n) + 5, 1, 2,
                                 Time::ticks(kTicksPerSlot / 2),
                                 kQuantum - kTick);
     DvqOptions dopts;
     dopts.horizon_limit = kHorizon + 8;
-    const double dvq_off =
-        best_ms(reps, [&] { (void)schedule_dvq(sys, yields, dopts); });
-    const double dvq_on = best_ms(reps, [&] {
-      InvariantAuditor auditor(sys);
-      DvqOptions aopts = dopts;
-      aopts.trace = &auditor;
-      (void)schedule_dvq(sys, yields, aopts);
-      audit_clean &= auditor.clean();
-    });
-    audit_sfq_ratio = sfq_on / std::max(sfq_off, 1e-9);
-    audit_dvq_ratio = dvq_on / std::max(dvq_off, 1e-9);
-    ctx.value("audit.sfq_off_ms", sfq_off);
-    ctx.value("audit.sfq_on_ms", sfq_on);
+    struct Row {
+      double sfq_ms = 0.0, dvq_ms = 0.0;
+    };
+    enum Config { kOff, kAudit, kMetrics, kTrace, kConfigs };
+    Row best[kConfigs];
+    std::uint64_t events = 0;
+    // One configuration's run, observers built inside the timed region.
+    const auto timed = [&](int config, auto o, auto&& schedule) {
+      return best_ms(1, [&] {
+        std::optional<InvariantAuditor> auditor;
+        MetricsRegistry reg;
+        CountingSink counter;
+        if (config == kAudit) o.trace = &auditor.emplace(sys);
+        if (config == kMetrics) o.metrics = &reg;
+        if (config == kTrace) o.trace = &counter;
+        schedule(o);
+        if (auditor) audit_clean &= auditor->clean();
+        if (config == kTrace) events = counter.events;
+      });
+    };
+    // Each round times every configuration once, so a load burst hits
+    // all of them; best-of-rounds keeps the quiet samples.
+    for (int r = 0; r < reps; ++r) {
+      for (int c = 0; c < kConfigs; ++c) {
+        const double sfq = timed(c, opts, [&](const SfqOptions& o) {
+          (void)schedule_sfq(sys, o);
+        });
+        const double dvq = timed(c, dopts, [&](const DvqOptions& o) {
+          (void)schedule_dvq(sys, yields, o);
+        });
+        if (r == 0 || sfq < best[c].sfq_ms) best[c].sfq_ms = sfq;
+        if (r == 0 || dvq < best[c].dvq_ms) best[c].dvq_ms = dvq;
+      }
+    }
+    const Row& off = best[kOff];
+    const Row& audited = best[kAudit];
+    const Row& metered = best[kMetrics];
+    const Row& traced = best[kTrace];
+    const auto ratio = [](double on, double base) {
+      return on / std::max(base, 1e-9);
+    };
+    audit_sfq_ratio = ratio(audited.sfq_ms, off.sfq_ms);
+    audit_dvq_ratio = ratio(audited.dvq_ms, off.dvq_ms);
+    metrics_sfq_ratio = ratio(metered.sfq_ms, off.sfq_ms);
+    metrics_dvq_ratio = ratio(metered.dvq_ms, off.dvq_ms);
+    trace_sfq_ratio = ratio(traced.sfq_ms, off.sfq_ms);
+    trace_dvq_ratio = ratio(traced.dvq_ms, off.dvq_ms);
+    ctx.value("audit.sfq_off_ms", off.sfq_ms);
+    ctx.value("audit.sfq_on_ms", audited.sfq_ms);
     ctx.value("audit.sfq_overhead", audit_sfq_ratio);
-    ctx.value("audit.dvq_off_ms", dvq_off);
-    ctx.value("audit.dvq_on_ms", dvq_on);
+    ctx.value("audit.dvq_off_ms", off.dvq_ms);
+    ctx.value("audit.dvq_on_ms", audited.dvq_ms);
     ctx.value("audit.dvq_overhead", audit_dvq_ratio);
+    ctx.value("metrics.sfq_on_ms", metered.sfq_ms);
+    ctx.value("metrics.sfq_overhead", metrics_sfq_ratio);
+    ctx.value("metrics.dvq_on_ms", metered.dvq_ms);
+    ctx.value("metrics.dvq_overhead", metrics_dvq_ratio);
+    ctx.value("trace.sfq_on_ms", traced.sfq_ms);
+    ctx.value("trace.sfq_overhead", trace_sfq_ratio);
+    ctx.value("trace.dvq_on_ms", traced.dvq_ms);
+    ctx.value("trace.dvq_overhead", trace_dvq_ratio);
+    ctx.value("trace.dvq_events", static_cast<double>(events));
     TextTable at;
-    at.header({"model", "off (ms)", "audited (ms)", "ratio", "clean"});
-    at.row({"sfq", cell(sfq_off, 2), cell(sfq_on, 2),
-            cell(audit_sfq_ratio, 2), audit_clean ? "yes" : "NO"});
-    at.row({"dvq", cell(dvq_off, 2), cell(dvq_on, 2),
-            cell(audit_dvq_ratio, 2), audit_clean ? "yes" : "NO"});
+    at.header({"model", "off (ms)", "audited (ms)", "x", "metrics (ms)",
+               "x", "trace (ms)", "x", "audit clean"});
+    at.row({"sfq", cell(off.sfq_ms, 2), cell(audited.sfq_ms, 2),
+            cell(audit_sfq_ratio, 2), cell(metered.sfq_ms, 2),
+            cell(metrics_sfq_ratio, 2), cell(traced.sfq_ms, 2),
+            cell(trace_sfq_ratio, 2), audit_clean ? "yes" : "NO"});
+    at.row({"dvq", cell(off.dvq_ms, 2), cell(audited.dvq_ms, 2),
+            cell(audit_dvq_ratio, 2), cell(metered.dvq_ms, 2),
+            cell(metrics_dvq_ratio, 2), cell(traced.dvq_ms, 2),
+            cell(trace_dvq_ratio, 2), audit_clean ? "yes" : "NO"});
     std::cout << at.str() << "\n";
   }
 
@@ -578,12 +628,15 @@ int run_bench(pfair::bench::BenchContext& ctx) {
                   construct_speedup_max_n >= 5.0 &&
                   construct_mem_ratio_max_n >= 10.0 && audit_clean &&
                   audit_sfq_ratio < 2.5 && audit_dvq_ratio < 2.5 &&
+                  metrics_sfq_ratio <= 1.2 && metrics_dvq_ratio <= 1.2 &&
+                  trace_sfq_ratio <= 3.0 && trace_dvq_ratio <= 3.0 &&
                   quality_match && prof_sfq_ratio < 1.05 &&
                   prof_dvq_ratio < 1.05;
   std::cout << "shape check (bit-identical everywhere incl. arena+scalar "
             << "legs, >=5x sched at n=16384, arena leg no slower than "
             << "fast, >=5x cycle fast-forward, >=5x construction and "
-            << ">=10x memory at n=16384, audit clean and < 2.5x at n=4096, "
+            << ">=10x memory at n=16384, audit clean and < 2.5x, metrics "
+            << "<= 1.2x and counting trace <= 3x at n=4096, "
             << "quality counters match recount, profiler < 1.05x): "
             << (ok ? "PASS" : "FAIL") << '\n';
   return ok ? 0 : 1;

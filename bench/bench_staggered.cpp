@@ -32,11 +32,12 @@ int run_bench(pfair::bench::BenchContext&) {
     // Aligned (SFQ): all M processors decide at every slot boundary.
     const std::int64_t aligned_concurrency = m;
 
-    StaggeredOptions sopts;
-    sopts.log_decisions = true;
+    DvqDecisionSink decisions;
+    DvqOptions sopts;
+    sopts.trace = &decisions;
     const DvqSchedule stag = schedule_staggered(sys, yields, sopts);
     std::map<std::int64_t, std::int64_t> per_instant;
-    for (const DvqDecision& d : stag.decisions()) {
+    for (const DvqDecision& d : decisions.decisions()) {
       ++per_instant[d.at.raw_ticks()];
     }
     std::int64_t stag_concurrency = 0;

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# Trace-audit smoke: simulates every paper-figure scenario under both
-# models, then re-validates each JSONL trace offline with `pfairtrace
-# validate` (the online invariant auditor fed from the parsed stream).
+# Trace-audit smoke: simulates every paper-figure scenario under every
+# model (sfq, dvq, staggered), then re-validates each JSONL trace
+# offline with `pfairtrace validate` (the online invariant auditor fed
+# from the parsed stream).
 # Any finding on these feasible PD2 schedules fails the run.
 # Usage: scripts/trace_smoke.sh [build-dir]   (default build)
 set -e
@@ -17,11 +18,12 @@ OUT="$BUILD/trace-smoke"
 mkdir -p "$OUT"
 
 for fig in fig1a fig1b fig1c fig2 fig3 fig6; do
-  for model in sfq dvq; do
+  for model in sfq dvq stag; do
     f="$OUT/$fig-$model.jsonl"
     # pfairsim's exit code reflects raw tardiness, and fig2/fig3 are
-    # *about* sub-quantum lateness under DVQ (legal per Theorem 3) —
-    # the auditor's verdict below is the one that gates this smoke.
+    # *about* sub-quantum lateness under DVQ (legal per Theorem 3, which
+    # covers staggered runs too) — the auditor's verdict below is the
+    # one that gates this smoke.
     "$SIM" --demo="$fig" --model="$model" --quiet --trace="$f" \
       >/dev/null || true
     echo "trace_smoke: $fig $model"

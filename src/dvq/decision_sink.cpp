@@ -1,5 +1,7 @@
 #include "dvq/decision_sink.hpp"
 
+#include <algorithm>
+
 namespace pfair {
 
 void DvqDecisionSink::on_event(const TraceEvent& e) {
@@ -8,17 +10,28 @@ void DvqDecisionSink::on_event(const TraceEvent& e) {
       flush();
       cur_.at = e.at;
       break;
-    case TraceEventKind::kProcFree:
-      cur_.free_procs.push_back(e.proc);
+    case TraceEventKind::kProcFree: {
+      const auto it = std::lower_bound(free_.begin(), free_.end(), e.proc);
+      if (it == free_.end() || *it != e.proc) free_.insert(it, e.proc);
       break;
-    case TraceEventKind::kPlace:
+    }
+    case TraceEventKind::kReadySet:
+      cur_.free_procs = free_;
+      break;
+    case TraceEventKind::kPlace: {
       cur_.started.push_back(e.subject);
+      const auto it = std::lower_bound(free_.begin(), free_.end(), e.proc);
+      if (it != free_.end() && *it == e.proc) free_.erase(it);
       break;
-    case TraceEventKind::kPreempt:
-      cur_.left_ready.push_back(e.subject);
+    }
+    case TraceEventKind::kCompare:
+      cur_.left_ready = e.other;
+      break;
+    case TraceEventKind::kProcIdle:
+      if (e.aux != 0) free_.clear();
       break;
     default:
-      break;  // comparison/deadline/idle events carry no decision state
+      break;  // deadline/migration/preemption events carry no decision state
   }
 }
 

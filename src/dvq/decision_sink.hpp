@@ -1,17 +1,18 @@
 // Reconstructs the classic per-instant `DvqDecision` log from the
 // structured trace-event stream.
 //
-// This replaced the removed `DvqOptions::log_decisions` flag: install a
-// DvqDecisionSink as the trace sink (or behind a TeeSink) and it
-// rebuilds the same log the old ad-hoc logger recorded.  One decision
-// spans the events between two kEventBegin boundaries; it is committed
-// on flush() (end of the simulator step) and only if at least one
-// subtask started — exactly the instants the old logger kept.
+// Install a DvqDecisionSink as the trace sink (or behind a TeeSink).
+// One decision spans the events between two kEventBegin boundaries; it
+// is committed on flush() (end of the simulator step) and only if at
+// least one subtask started.  The sink tracks the free-processor set
+// itself: kProcFree adds a processor, kPlace takes it, and a staggered
+// kProcIdle (aux = 1) parks every idle one until its next boundary.  A
+// decision's free_procs is that set when the ready set is reported, and
+// its left_ready is the boundary event's unplaced side.
 //
-// Two storage modes: appended into an external `DvqSchedule` (the
-// legacy location, read back via `DvqSchedule::decisions()`), or — with
-// the default constructor — into the sink's own log, read back via
-// `decisions()`.
+// Two storage modes: appended into an external `DvqSchedule` (read back
+// via `DvqSchedule::decisions()`), or — with the default constructor —
+// into the sink's own log, read back via `decisions()`.
 #pragma once
 
 #include <vector>
@@ -42,6 +43,7 @@ class DvqDecisionSink final : public TraceSink {
   DvqSchedule* sched_ = nullptr;
   std::vector<DvqDecision> own_;
   DvqDecision cur_;
+  std::vector<int> free_;  // free processors, ascending
 };
 
 }  // namespace pfair

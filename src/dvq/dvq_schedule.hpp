@@ -24,13 +24,15 @@ struct DvqPlacement {
 };
 
 /// One decision instant of the DVQ engine: which processors were free,
-/// which subtasks started, and which ready subtasks were left waiting.
+/// which subtasks started, and the best ready subtask left waiting.
 /// This is the raw material for the blocking analysis of Sec. 3.1.
 struct DvqDecision {
   Time at;
-  std::vector<int> free_procs;
+  std::vector<int> free_procs;  ///< ascending
   std::vector<SubtaskRef> started;
-  std::vector<SubtaskRef> left_ready;  ///< ready but unserved at `at`
+  /// Highest-priority subtask ready but unserved at `at` (invalid if
+  /// none).  Dispatch is greedy, so every waiting subtask ranks below it.
+  SubtaskRef left_ready;
 };
 
 /// A complete DVQ (or staggered) schedule.

@@ -5,22 +5,19 @@
 
 #include "dvq/dvq_cycle.hpp"
 #include "dvq/dvq_simulator.hpp"
+#include "dvq/staggered.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "sched/sfq_scheduler.hpp"
 
 namespace pfair {
 
-DvqSchedule schedule_dvq(const TaskSystem& sys, const YieldModel& yields,
-                         const DvqOptions& opts) {
-  if (opts.cycle_detect && opts.trace == nullptr && opts.metrics == nullptr &&
-      opts.quality == nullptr && yields.periodic_costs()) {
-    const std::int64_t limit =
-        opts.horizon_limit > 0 ? opts.horizon_limit : default_horizon(sys);
-    DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, yields, opts);
-    if (cyc.stats().engaged) return cyc.materialize(limit);
-    return std::move(cyc).take_stored();
-  }
+namespace {
+
+// Steps the engine (work-conserving or staggered) to the horizon with
+// every observer in `opts` attached.
+DvqSchedule simulate(const TaskSystem& sys, const YieldModel& yields,
+                     const DvqOptions& opts, bool staggered) {
   const std::int64_t slot_limit =
       opts.horizon_limit > 0 ? opts.horizon_limit : default_horizon(sys);
   // The simulator is not movable (its ready heap points into member
@@ -28,7 +25,7 @@ DvqSchedule schedule_dvq(const TaskSystem& sys, const YieldModel& yields,
   std::optional<DvqSimulator> sim_store;
   {
     PFAIR_PROF_SPAN(kConstruction);
-    sim_store.emplace(sys, yields, opts.policy, opts.arena);
+    sim_store.emplace(sys, yields, opts.policy, opts.arena, staggered);
   }
   DvqSimulator& sim = *sim_store;
   if (opts.trace != nullptr) sim.set_trace_sink(opts.trace);
@@ -43,6 +40,28 @@ DvqSchedule schedule_dvq(const TaskSystem& sys, const YieldModel& yields,
         .set(sched.makespan().raw_ticks() * sys.processors() - busy);
   }
   return std::move(sim).take_schedule();
+}
+
+}  // namespace
+
+DvqSchedule schedule_dvq(const TaskSystem& sys, const YieldModel& yields,
+                         const DvqOptions& opts) {
+  if (opts.cycle_detect && opts.trace == nullptr && opts.metrics == nullptr &&
+      opts.quality == nullptr && yields.periodic_costs()) {
+    const std::int64_t limit =
+        opts.horizon_limit > 0 ? opts.horizon_limit : default_horizon(sys);
+    DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, yields, opts);
+    if (cyc.stats().engaged) return cyc.materialize(limit);
+    return std::move(cyc).take_stored();
+  }
+  return simulate(sys, yields, opts, /*staggered=*/false);
+}
+
+DvqSchedule schedule_staggered(const TaskSystem& sys, const YieldModel& yields,
+                               const DvqOptions& opts) {
+  // Never fast-forwarded: the cycle detector fingerprints work-conserving
+  // state, which has no notion of a processor waiting for its boundary.
+  return simulate(sys, yields, opts, /*staggered=*/true);
 }
 
 }  // namespace pfair

@@ -25,7 +25,7 @@ constexpr auto kLargerProc = [](std::int32_t a, std::int32_t b) {
 }  // namespace
 
 DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
-                           Policy policy, Arena* arena)
+                           Policy policy, Arena* arena, bool staggered)
     : sys_(&sys),
       yields_(&yields),
       order_(sys, policy),
@@ -38,7 +38,8 @@ DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
       completions_(arena),
       pending_(arena),
       free_procs_(arena),
-      remaining_(sys.total_subtasks()) {
+      remaining_(sys.total_subtasks()),
+      min_hold_(staggered ? kQuantum : Time()) {
   procs_.resize(static_cast<std::size_t>(sys.processors()));
   head_.resize(static_cast<std::size_t>(sys.num_tasks()));
   ready_at_.resize(static_cast<std::size_t>(sys.num_tasks()));
@@ -51,10 +52,23 @@ DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
   pending_.reserve(head_.size());
   completions_.reserve(procs_.size());
   free_procs_.reserve(procs_.size());
+  const auto m = static_cast<std::int64_t>(procs_.size());
   for (std::size_t pi = 0; pi < procs_.size(); ++pi) {
-    free_procs_.push_back(static_cast<std::int32_t>(pi));
+    if (!staggered) {
+      free_procs_.push_back(static_cast<std::int32_t>(pi));
+      continue;
+    }
+    // Processor k's quantum boundaries sit at n + k/M slots: it is first
+    // free at its offset.
+    Proc& pr = procs_[pi];
+    pr.busy = true;
+    pr.busy_until =
+        Time::ticks(static_cast<std::int64_t>(pi) * kTicksPerSlot / m);
+    completions_.push_back(
+        Completion{pr.busy_until, static_cast<std::int32_t>(pi)});
   }
   std::make_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
+  std::make_heap(completions_.begin(), completions_.end(), kLaterCompletion);
   for (std::size_t k = 0; k < head_.size(); ++k) {
     const Task& task = sys.task(static_cast<std::int64_t>(k));
     if (task.num_subtasks() > 0) {
@@ -73,13 +87,16 @@ Time DvqSimulator::next_event_time() const {
   return std::min(completions_.front().at, pending_.front().at);
 }
 
-Time DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
+void DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
                                     int proc) {
   const Time c = yields_->checked_cost(*sys_, ref);
   sched_.place(ref, t, c, proc);
+  const Time done = t + c;
   Proc& pr = procs_[static_cast<std::size_t>(proc)];
   pr.busy = true;
-  pr.busy_until = t + c;
+  // Free again at completion (DVQ), or at the processor's next own
+  // boundary t + 1 (staggered: quanta start on boundaries and c <= 1).
+  pr.busy_until = std::max(done, t + min_hold_);
   completions_.push_back(
       Completion{pr.busy_until, static_cast<std::int32_t>(proc)});
   std::push_heap(completions_.begin(), completions_.end(), kLaterCompletion);
@@ -90,62 +107,31 @@ Time DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
   // eligibility time and this quantum's completion.
   const Task& task = sys_->task(ref.task);
   if (head_[k] < task.num_subtasks()) {
-    ready_at_[k] = std::max(
-        Time::slots(task.eligible_at(head_[k])), pr.busy_until);
+    ready_at_[k] = std::max(Time::slots(task.eligible_at(head_[k])), done);
     pending_.push_back(Pending{
         ready_at_[k], SubtaskRef{ref.task, ref.seq + 1}});
     std::push_heap(pending_.begin(), pending_.end(), kLaterPending);
   }
-  return c;
 }
 
 std::vector<SubtaskRef> DvqSimulator::step() {
   std::vector<SubtaskRef> started;
   if (!has_events()) return started;
   step_into(started);
+  probe_.publish();
   return started;
 }
 
 void DvqSimulator::step_into(std::vector<SubtaskRef>& started) {
   const Time t = next_event_time();
   now_ = t;
-
-  {
-    // 1. Retire completions at t; successors whose readiness instant has
-    // arrived join the ready heap for this very batch.
-    while (!completions_.empty() && completions_.front().at <= t) {
-      PFAIR_ASSERT(completions_.front().at == t);
-      const std::int32_t proc = completions_.front().proc;
-      std::pop_heap(completions_.begin(), completions_.end(),
-                    kLaterCompletion);
-      completions_.pop_back();
-      procs_[static_cast<std::size_t>(proc)].busy = false;
-      free_procs_.push_back(proc);
-      std::push_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
-    }
-    while (!pending_.empty() && pending_.front().at <= t) {
-      ready_q_.push(pending_.front().ref);
-      std::pop_heap(pending_.begin(), pending_.end(), kLaterPending);
-      pending_.pop_back();
-    }
-  }
-
-  const std::size_t free0 = free_procs_.size();
-  const std::size_t base = started.size();
-  // 2.+3. Dispatch.  No spans at this granularity: an event costs a few
-  // hundred nanoseconds, so even one clock-read pair per event would be
+  // No spans at this granularity: an event costs a few hundred
+  // nanoseconds, so even one clock-read pair per event would be
   // double-digit overhead — run_until() scopes the whole loop instead.
   if (probe_.enabled()) [[unlikely]] {
-    if (probe_.wants_full_instrumentation()) {
-      step_instrumented(started, t);
-    } else {
-      step_fast<true>(started, t);
-    }
+    step_fast<true>(started, t);
   } else {
     step_fast<false>(started, t);
-  }
-  if (quality_ != nullptr) [[unlikely]] {
-    note_quality_event(free0, started, base);
   }
 }
 
@@ -160,22 +146,99 @@ void DvqSimulator::set_quality(QualityCounters* q) {
   }
 }
 
+template <bool kTraced>
+void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
+  if constexpr (kTraced) {
+    probe_.begin_decision(TraceEventKind::kEventBegin, t);
+    if (announce_free_) {
+      announce_free_ = false;
+      for (std::size_t pi = 0; pi < procs_.size(); ++pi) {
+        if (!procs_[pi].busy) probe_.proc_free(t, static_cast<int>(pi));
+      }
+    }
+  }
+  // 1. Retire completions at t; successors whose readiness instant has
+  // arrived join the ready heap for this very batch.
+  while (!completions_.empty() && completions_.front().at <= t) {
+    PFAIR_ASSERT(completions_.front().at == t);
+    const std::int32_t proc = completions_.front().proc;
+    std::pop_heap(completions_.begin(), completions_.end(), kLaterCompletion);
+    completions_.pop_back();
+    procs_[static_cast<std::size_t>(proc)].busy = false;
+    free_procs_.push_back(proc);
+    std::push_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
+    if constexpr (kTraced) probe_.proc_free(t, proc);
+  }
+  while (!pending_.empty() && pending_.front().at <= t) {
+    ready_q_.push(pending_.front().ref);
+    std::pop_heap(pending_.begin(), pending_.end(), kLaterPending);
+    pending_.pop_back();
+  }
+
+  const std::size_t free0 = free_procs_.size();
+  const std::size_t base = started.size();
+  // 2.+3. Hand each free processor (ascending id) the highest-priority
+  // ready subtask, immediately (work-conserving).  Every queued entry
+  // names its task's current head: only this loop places subtasks.
+  while (!free_procs_.empty() && !ready_q_.empty()) {
+    const SubtaskRef ref = ready_q_.pop_best();
+    PFAIR_ASSERT(head_[static_cast<std::size_t>(ref.task)] == ref.seq);
+    const std::int32_t proc = free_procs_.front();
+    std::pop_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
+    free_procs_.pop_back();
+    commit_placement(ref, t, proc);
+    started.push_back(ref);
+  }
+  if (kTraced || quality_ != nullptr) [[unlikely]] {
+    note_decision(t, free0, started, base);
+  }
+  if (staggered() && !free_procs_.empty()) park_idle(t);
+}
+
+void DvqSimulator::park_idle(Time t) {
+  // Between steps a staggered processor is never free, so each one free
+  // now retired at t, its own boundary; the next one is a quantum on.
+  for (const std::int32_t proc : free_procs_) {
+    Proc& pr = procs_[static_cast<std::size_t>(proc)];
+    pr.busy = true;
+    pr.busy_until = t + kQuantum;
+    completions_.push_back(Completion{pr.busy_until, proc});
+    std::push_heap(completions_.begin(), completions_.end(),
+                   kLaterCompletion);
+  }
+  free_procs_.clear();
+}
+
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
-void DvqSimulator::note_quality_event(std::size_t free0,
-                                      const std::vector<SubtaskRef>& started,
-                                      std::size_t base) {
-  QualityCounters& q = *quality_;
-  ++q.decision_points;
+void DvqSimulator::note_decision(Time t, std::size_t free0,
+                                 const std::vector<SubtaskRef>& started,
+                                 std::size_t base) {
+  QualityCounters* q = quality_;
+  const bool observed = probe_.enabled();  // else quality counters only
+  if (q != nullptr) ++q->decision_points;
+  // No capacity at this instant (a readiness event landed while every
+  // processor was busy): nothing was decided, nothing is idle.
+  if (free0 == 0) {
+    probe_.end_decision();
+    return;
+  }
+  const std::size_t placed = started.size() - base;
+  // The heap held the placements plus what is still queued.
+  probe_.ready_set(t, static_cast<std::int64_t>(ready_q_.size() + placed));
   for (std::size_t i = base; i < started.size(); ++i) {
     const SubtaskRef ref = started[i];
     const DvqPlacement& pl = sched_.placement(ref);
     const int proc = pl.proc;
+    probe_.place(t, ref, proc, pl.cost.raw_ticks());
     if (ref.seq > 0) {
       const DvqPlacement& prev =
           sched_.placement(SubtaskRef{ref.task, ref.seq - 1});
-      if (prev.proc >= 0 && prev.proc != proc) ++q.migrations;
+      if (prev.proc >= 0 && prev.proc != proc) {
+        probe_.migrate(t, ref, prev.proc, proc);
+        if (q != nullptr) ++q->migrations;
+      }
       // Preemption: this subtask was ready the instant its predecessor
       // completed (eligibility had already passed) yet starts strictly
       // later — the task was descheduled in between.  Charged once, at
@@ -184,156 +247,43 @@ void DvqSimulator::note_quality_event(std::size_t free0,
       if (pl.start > prev_end &&
           Time::slots(sys_->task(ref.task).eligible_at(ref.seq)) <=
               prev_end) {
-        ++q.preemptions;
+        probe_.preempt(t, ref);
+        if (q != nullptr) ++q->preemptions;
       }
     }
-    std::int32_t& occupant = proc_task_[static_cast<std::size_t>(proc)];
-    if (occupant != ref.task) {
-      if (occupant >= 0) {
-        ++q.context_switches;
-        ++q.per_proc_switches[static_cast<std::size_t>(proc)];
+    if (observed) {
+      const std::int64_t tard = std::max<std::int64_t>(
+          0, pl.completion().raw_ticks() -
+                 sys_->task(ref.task).deadline_at(ref.seq) * kTicksPerSlot);
+      probe_.deadline(t, ref, tard);
+    }
+    if (q != nullptr) {
+      std::int32_t& occupant = proc_task_[static_cast<std::size_t>(proc)];
+      if (occupant != ref.task) {
+        if (occupant >= 0) {
+          ++q->context_switches;
+          ++q->per_proc_switches[static_cast<std::size_t>(proc)];
+        }
+        occupant = ref.task;
       }
-      occupant = ref.task;
     }
   }
-  // No capacity at this instant (a readiness event landed while every
-  // processor was busy): nothing is idle.  Otherwise every free
-  // processor the work-conserving dispatch left unfilled idles for this
-  // decision instant.
-  if (free0 == 0) return;
-  const std::size_t placed = started.size() - base;
+  // The boundary: the last placement against the best subtask left
+  // waiting (there is one only if every free processor was filled).
+  if (placed > 0 && probe_.tracing() && !ready_q_.empty()) {
+    const SubtaskRef other = ready_q_.peek();
+    TieRule rule = TieRule::kTie;
+    (void)order_.compare(started.back(), other, &rule);
+    probe_.compare_outcome(t, started.back(), other, rule);
+  }
+  // Every free processor the work-conserving dispatch left unfilled
+  // idles for this decision instant.
   if (placed < free0) {
-    q.idle_slots += static_cast<std::int64_t>(free0 - placed);
-  }
-}
-
-template <bool kTraced>
-void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
-  if constexpr (kTraced) {
-    probe_.begin_decision(TraceEventKind::kEventBegin, t);
-  }
-  // 2.+3. Hand each free processor (ascending id) the highest-priority
-  // live ready subtask, immediately (work-conserving).
-  while (!free_procs_.empty()) {
-    SubtaskRef ref{};
-    bool found = false;
-    while (!ready_q_.empty()) {
-      ref = ready_q_.pop_best();
-      // Skip entries scheduled behind the heap's back by an instrumented
-      // step (the head moved on).
-      if (head_[static_cast<std::size_t>(ref.task)] == ref.seq) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) break;
-    const std::int32_t proc = free_procs_.front();
-    std::pop_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
-    free_procs_.pop_back();
-    [[maybe_unused]] const Time c = commit_placement(ref, t, proc);
-    if constexpr (kTraced) note_placement(t, ref, proc, c);
-    started.push_back(ref);
-  }
-  if constexpr (kTraced) probe_.end_decision();
-}
-
-// noinline: instrumented-path-only code; folding it into step() costs
-// the *uninstrumented* path measurable icache pressure.
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void DvqSimulator::step_instrumented(std::vector<SubtaskRef>& started,
-                                     Time t) {
-  probe_.begin_decision(TraceEventKind::kEventBegin, t);
-
-  // 2. Free processors and ready subtasks — the pre-optimization full
-  // scans, so the event stream is unchanged.
-  std::vector<int> free_procs = idle_processors();
-  if (free_procs.empty()) {
-    probe_.end_decision();
-    return;
-  }
-  for (const int p : free_procs) probe_.proc_free(t, p);
-  scratch_ready_.clear();
-  for (std::size_t k = 0; k < head_.size(); ++k) {
-    const Task& task = sys_->task(static_cast<std::int64_t>(k));
-    if (head_[k] >= task.num_subtasks()) continue;
-    if (ready_at_[k] > t) continue;
-    scratch_ready_.push_back(SubtaskRef{static_cast<std::int32_t>(k),
-                                        static_cast<std::int32_t>(head_[k])});
-  }
-  std::vector<SubtaskRef>& ready = scratch_ready_;
-  probe_.ready_set(t, static_cast<std::int64_t>(ready.size()));
-  if (ready.empty()) {
-    probe_.idle(t, static_cast<std::int64_t>(free_procs.size()));
-    probe_.end_decision();
-    return;
-  }
-
-  // 3. Assign in priority order, immediately (work-conserving).
-  const auto m = std::min(free_procs.size(), ready.size());
-  sort_ready_instrumented(ready, m, t);
-  for (std::size_t r = 0; r < m; ++r) {
-    const SubtaskRef ref = ready[r];
-    const int proc = free_procs[r];
-    // The r-th free processor in ascending id order is exactly the r-th
-    // pop of the free-processor min-heap — keep it in sync.
-    PFAIR_ASSERT(free_procs_.front() == proc);
-    std::pop_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
-    free_procs_.pop_back();
-    const Time c = commit_placement(ref, t, proc);
-    note_placement(t, ref, proc, c);
-    started.push_back(ref);
-  }
-  // Ready subtasks left unserved at this instant (the paper's blocked
-  // work) and capacity beyond the ready set.
-  for (std::size_t r = m; r < ready.size(); ++r) {
-    probe_.preempt(t, ready[r]);
-  }
-  if (m < free_procs.size()) {
-    probe_.idle(t, static_cast<std::int64_t>(free_procs.size() - m));
+    const auto idle = static_cast<std::int64_t>(free0 - placed);
+    probe_.idle(t, idle, staggered());
+    if (q != nullptr) q->idle_slots += idle;
   }
   probe_.end_decision();
-}
-
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void DvqSimulator::sort_ready_instrumented(std::vector<SubtaskRef>& ready,
-                                           std::size_t m, Time t) {
-  std::int64_t ncmp = 0;
-  const bool tracing = probe_.tracing();
-  std::partial_sort(
-      ready.begin(), ready.begin() + static_cast<std::ptrdiff_t>(m),
-      ready.end(),
-      [this, t, tracing, &ncmp](const SubtaskRef& a, const SubtaskRef& b) {
-        ++ncmp;
-        TieRule rule = TieRule::kTie;
-        const int c = order_.compare(a, b, &rule);
-        const bool a_wins = c != 0 ? c < 0 : a < b;
-        if (tracing) {
-          probe_.compare_outcome(t, a_wins ? a : b, a_wins ? b : a, rule);
-        }
-        return a_wins;
-      });
-  probe_.comparisons(ncmp);
-}
-
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void DvqSimulator::note_placement(Time t, SubtaskRef ref, int proc,
-                                  Time c) {
-  probe_.place(t, ref, proc, c.raw_ticks());
-  if (ref.seq > 0) {
-    const int prev = sched_.placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
-    if (prev >= 0 && prev != proc) probe_.migrate(t, ref, prev, proc);
-  }
-  const Time completion = t + c;
-  const std::int64_t tard = std::max<std::int64_t>(
-      0, completion.raw_ticks() -
-             sys_->subtask(ref).deadline * kTicksPerSlot);
-  probe_.deadline(t, ref, tard);
 }
 
 void DvqSimulator::run_until(Time time_limit) {
@@ -343,6 +293,7 @@ void DvqSimulator::run_until(Time time_limit) {
     scratch_started_.clear();
     step_into(scratch_started_);
   }
+  probe_.publish();
 }
 
 void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
@@ -350,6 +301,7 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
                         std::int64_t boundary_slot) {
   PFAIR_REQUIRE(!probe_.enabled(), "warp would skip trace events");
   PFAIR_REQUIRE(quality_ == nullptr, "warp would skip quality accounting");
+  PFAIR_REQUIRE(!staggered(), "staggered runs do not fast-forward");
   PFAIR_REQUIRE(cycles >= 0 && cycle_slots > 0, "bad warp parameters");
   if (cycles == 0) return;
   const Time shift = Time::ticks(cycles * cycle_slots * kTicksPerSlot);

@@ -16,13 +16,19 @@
 // Schedules are bit-identical to the retained naive reference
 // (`schedule_dvq_reference`).
 //
-// With a probe attached, step() takes the instrumented path — the
-// pre-optimization full scan and event-reporting partial_sort — so
-// trace streams and metric values stay exactly stable.  Exception: a
-// sink whose event_mask() fits inside kDecisionTraceEvents (e.g. the
-// InvariantAuditor) is served from the fast path with only the
-// decision-outcome events emitted.  Whatever the path, the placements
-// are the same.
+// There is one decision body.  With a probe (trace sink or metrics) or
+// quality counters attached, it additionally reports each processor it
+// retires, and after dispatch the instant's outcome at O(placements)
+// cost: ready-heap size, placements, the boundary between the last
+// placement and the heap's best waiting entry, preemptions and idle
+// capacity.  Attaching observers never changes which code places
+// subtasks.
+//
+// The staggered model (dvq/staggered.hpp) runs on the same engine: with
+// `staggered` set, processor k's quantum boundaries sit at n + k/M
+// slots, a processor is free only at its own boundaries (a quantum that
+// ends early leaves it waiting for the next one), and one left idle at
+// a boundary waits for the next.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +54,11 @@ class DvqSimulator {
   /// With `arena`, the working state (key tables, ready heap, event
   /// queues, per-task/per-processor records) is bump-allocated there
   /// (the arena must be fresh or reset and outlive the simulator).
+  /// `staggered`: processor k decides only at n + floor(k * 2^20 / M)
+  /// ticks, n = 0, 1, 2, ... (see the header note).
   DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
-               Policy policy = Policy::kPd2, Arena* arena = nullptr);
+               Policy policy = Policy::kPd2, Arena* arena = nullptr,
+               bool staggered = false);
 
   /// True once every subtask has been placed (no events can remain that
   /// would place more work).
@@ -70,7 +79,8 @@ class DvqSimulator {
   /// reached (events at or beyond the limit are not processed).
   void run_until(Time time_limit);
 
-  /// Processors currently idle (valid between steps).
+  /// Processors currently idle (valid between steps; a staggered
+  /// processor waiting for its next boundary is not idle).
   [[nodiscard]] std::vector<int> idle_processors() const;
 
   /// The system being scheduled.
@@ -89,8 +99,8 @@ class DvqSimulator {
   [[nodiscard]] Time proc_busy_until(std::int64_t proc) const {
     return procs_[static_cast<std::size_t>(proc)].busy_until;
   }
-  /// True iff a probe (trace sink or metrics) is attached.
-  [[nodiscard]] bool instrumented() const { return probe_.enabled(); }
+  /// True iff built for the staggered model.
+  [[nodiscard]] bool staggered() const { return min_hold_ > Time(); }
 
   /// Fast-forwards `cycles` repetitions of a steady-state cycle of
   /// `cycle_slots` slots detected at slot boundary `boundary_slot` (all
@@ -99,7 +109,7 @@ class DvqSimulator {
   /// times jump by the cycle length; the pending/ready partition is
   /// rebuilt relative to the shifted boundary.  Callers
   /// (dvq/dvq_cycle.cpp) must have proved the recurrence via
-  /// fingerprints.  Requires an uninstrumented simulator.
+  /// fingerprints.  Requires an unobserved, non-staggered simulator.
   void warp(std::int64_t cycles, std::int64_t cycle_slots,
             const std::vector<std::int64_t>& cycle_allocs,
             std::int64_t boundary_slot);
@@ -107,17 +117,23 @@ class DvqSimulator {
   [[nodiscard]] const DvqSchedule& schedule() const { return sched_; }
   [[nodiscard]] DvqSchedule take_schedule() && { return std::move(sched_); }
 
-  /// Installs a structured trace sink (not owned; null uninstalls).  An
-  /// instrumented run places every subtask identically.  To collect a
+  /// Installs a structured trace sink (not owned; null uninstalls).  A
+  /// traced run places every subtask identically.  To collect a
   /// per-instant decision log, install a DvqDecisionSink (see
-  /// dvq/decision_sink.hpp).
-  void set_trace_sink(TraceSink* sink) { probe_.set_sink(sink); }
+  /// dvq/decision_sink.hpp).  The sink's first decision reports every
+  /// processor already free as kProcFree; later ones report each
+  /// processor as it retires.
+  void set_trace_sink(TraceSink* sink) {
+    probe_.set_sink(sink);
+    announce_free_ = true;
+  }
   /// Accumulates sched.* metrics (see obs/probe.hpp) into `reg`, which
-  /// must outlive the simulator.
+  /// must outlive the simulator; they land there at the end of every
+  /// step() / run_until() call.
   void attach_metrics(MetricsRegistry& reg) { probe_.attach_metrics(reg); }
   /// Accumulates scheduler-quality counters (obs/quality.hpp) into `q`
-  /// incrementally, one O(changes) update per event, on every path —
-  /// placements are unaffected.  Must be attached before the first
+  /// incrementally, one O(changes) update per event, from the same
+  /// outcome report the probe reads — placements are unaffected.  Must be attached before the first
   /// step; `q` must outlive the simulator.  analysis/recount.hpp
   /// recomputes the same numbers offline.
   void set_quality(QualityCounters* q);
@@ -129,29 +145,24 @@ class DvqSimulator {
   // One event instant's decisions appended into `started` (not cleared;
   // reused as a scratch buffer by run_until).
   void step_into(std::vector<SubtaskRef>& started);
-  // The O(changes) decision body.  kTraced additionally reports the
-  // decision-outcome events (event begin, placements, migrations,
-  // deadlines) — the kDecisionTraceEvents subset of the instrumented
-  // stream — without the naive scan.
+  // The O(changes) event body: retires completions, drains readiness,
+  // dispatches.  kTraced reports each retired processor as it goes.
   template <bool kTraced>
   void step_fast(std::vector<SubtaskRef>& started, Time t);
-  // The pre-optimization decision body: naive ready scan + instrumented
-  // sort + trace/metrics reporting.  Identical placements.
-  void step_instrumented(std::vector<SubtaskRef>& started, Time t);
-  void sort_ready_instrumented(std::vector<SubtaskRef>& ready,
-                               std::size_t m, Time t);
-  void note_placement(Time t, SubtaskRef ref, int proc, Time c);
-  // Folds one event instant's decisions into quality_: `free0` is the
-  // free-processor count before dispatch, `started[base..)` the
-  // placements made at this instant (already committed).
-  void note_quality_event(std::size_t free0,
-                          const std::vector<SubtaskRef>& started,
-                          std::size_t base);
+  // Reports one instant's outcome to the probe and the quality
+  // counters: `free0` is the free-processor count before dispatch,
+  // `started[base..)` the placements made at `t` (already committed).
+  void note_decision(Time t, std::size_t free0,
+                     const std::vector<SubtaskRef>& started,
+                     std::size_t base);
+  // Staggered model: re-arms every processor left idle at its boundary
+  // `t` for its next one.
+  void park_idle(Time t);
 
-  // Bookkeeping shared by both paths for one placement at instant `t`:
-  // records the placement, books the completion event, and enqueues the
-  // successor's readiness.  Returns the charged cost.
-  Time commit_placement(const SubtaskRef& ref, Time t, int proc);
+  // Bookkeeping for one placement at instant `t`: records the
+  // placement, books the processor's release, and enqueues the
+  // successor's readiness.
+  void commit_placement(const SubtaskRef& ref, Time t, int proc);
 
   const TaskSystem* sys_;
   const YieldModel* yields_;
@@ -162,8 +173,8 @@ class DvqSimulator {
   DvqSchedule sched_;
 
   struct Proc {
-    bool busy = false;
-    Time busy_until;
+    bool busy = false;  // not free (staggered: includes waiting)
+    Time busy_until;    // when it is free again
   };
   ArenaVector<Proc> procs_;
   ArenaVector<std::int64_t> head_;
@@ -185,9 +196,13 @@ class DvqSimulator {
   ArenaVector<std::int32_t> free_procs_;  // min-heap of idle processors
 
   std::vector<SubtaskRef> scratch_started_;
-  std::vector<SubtaskRef> scratch_ready_;  // instrumented path only
   Time now_;
   std::int64_t remaining_;
+  // Shortest time a placement holds its processor: zero (DVQ, free at
+  // completion) or one quantum (staggered, free at the next boundary).
+  Time min_hold_;
+  // The installed sink has not yet been told which processors are free.
+  bool announce_free_ = false;
 
   // Quality accounting (null = off): the task each processor last ran.
   QualityCounters* quality_ = nullptr;

@@ -9,28 +9,24 @@
 //
 // Staggered scheduling is a special case of the DVQ model (desynchronized,
 // quanta of size exactly 1), so Theorem 3 applies: tardiness under PD2 is
-// at most one quantum.  `bench_staggered` confirms this and measures the
-// decision-concurrency reduction.
+// at most one quantum.  It runs on the DVQ engine itself (DvqSimulator
+// with per-processor boundary offsets), so traces, metrics, quality
+// counters and the invariant auditor observe it like any DVQ run.
+// `bench_staggered` confirms the bound and measures the decision-
+// concurrency reduction.
 #pragma once
 
-#include "dvq/dvq_schedule.hpp"
-#include "dvq/yield.hpp"
-#include "sched/priority.hpp"
+#include "dvq/dvq_scheduler.hpp"
 
 namespace pfair {
-
-struct StaggeredOptions {
-  Policy policy = Policy::kPd2;
-  bool log_decisions = false;
-  std::int64_t horizon_limit = 0;  ///< 0 = automatic
-};
 
 /// Runs the staggered-model scheduler.  Processor k makes decisions at
 /// times n + floor(k * 2^20 / M) ticks, n = 0, 1, 2, ...; a chosen subtask
 /// executes for c(T_i) <= 1 and the processor then idles until its next
-/// own boundary.
+/// own boundary.  Honours every DvqOptions field except `cycle_detect`:
+/// staggered runs never fast-forward.
 [[nodiscard]] DvqSchedule schedule_staggered(const TaskSystem& sys,
                                              const YieldModel& yields,
-                                             const StaggeredOptions& opts = {});
+                                             const DvqOptions& opts = {});
 
 }  // namespace pfair

@@ -101,8 +101,15 @@ class Parser {
   JsonValue value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      PFAIR_REQUIRE(++depth_ <= kMaxJsonDepth,
+                    "JSON nested deeper than " << kMaxJsonDepth
+                                               << " levels at offset "
+                                               << pos_);
+      JsonValue v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.kind = JsonValue::Kind::kString;
@@ -268,6 +275,7 @@ class Parser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects currently open
 };
 
 void indent_to(std::ostream& os, int level) {

@@ -39,8 +39,13 @@ struct JsonValue {
   [[nodiscard]] const JsonValue& at(std::string_view key) const;
 };
 
+/// Deepest array/object nesting parse_json accepts.  The parser recurses
+/// once per level, so the bound keeps hostile input from exhausting the
+/// stack; every document this library writes nests at most a few levels.
+inline constexpr int kMaxJsonDepth = 256;
+
 /// Parses one complete JSON document; throws ContractViolation on any
-/// syntax error or trailing garbage.
+/// syntax error, trailing garbage, or nesting deeper than kMaxJsonDepth.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// Serializes a metrics snapshot:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -49,8 +50,13 @@ Weight parse_weight(const std::string& tok, int lineno) {
 }  // namespace
 
 ParsedSystem parse_task_file(std::istream& in) {
+  // Every subtask must be indexable by SubtaskRef::seq (int32); counts
+  // are checked in 128 bits before anything is materialized.
+  constexpr std::int64_t kMaxSubtasks =
+      std::numeric_limits<std::int32_t>::max();
   ParsedSystem out;
   bool saw_processors = false;
+  int horizon_line = 0;
   std::string raw;
   int lineno = 0;
   while (std::getline(in, raw)) {
@@ -74,6 +80,7 @@ ParsedSystem parse_task_file(std::istream& in) {
       out.horizon = parse_int(v, lineno, "horizon");
       PFAIR_REQUIRE(out.horizon >= 1,
                     "line " << lineno << ": horizon must be >= 1");
+      horizon_line = lineno;
     } else if (kw == "task") {
       ParsedTask t;
       std::string wtok;
@@ -97,6 +104,11 @@ ParsedSystem parse_task_file(std::istream& in) {
           t.phase = val;
         } else {
           PFAIR_REQUIRE(val >= 1, "line " << lineno << ": jobs >= 1");
+          PFAIR_REQUIRE(
+              static_cast<__int128>(val) * t.weight.e <= kMaxSubtasks,
+              "line " << lineno << ": jobs=" << val << " gives task '"
+                      << t.name << "' more than " << kMaxSubtasks
+                      << " subtasks");
           t.jobs = val;
         }
       }
@@ -108,6 +120,18 @@ ParsedSystem parse_task_file(std::istream& in) {
   }
   PFAIR_REQUIRE(saw_processors, "missing 'processors' line");
   PFAIR_REQUIRE(!out.tasks.empty(), "no tasks defined");
+  for (const ParsedTask& t : out.tasks) {
+    if (t.jobs > 0 || out.horizon <= t.phase) continue;
+    // Subtasks released in [phase, horizon): ceil((H - phase) * e / p).
+    const __int128 count =
+        (static_cast<__int128>(out.horizon - t.phase) * t.weight.e +
+         t.weight.p - 1) /
+        t.weight.p;
+    PFAIR_REQUIRE(count <= kMaxSubtasks,
+                  "line " << horizon_line << ": horizon " << out.horizon
+                          << " gives task '" << t.name << "' more than "
+                          << kMaxSubtasks << " subtasks");
+  }
   return out;
 }
 

@@ -58,14 +58,6 @@ InvariantAuditor::InvariantAuditor(const TaskSystem& sys, AuditOptions opts)
                  (opts_.lag == AuditOptions::Lag::kAuto && all_meaningful);
 }
 
-TraceEventMask InvariantAuditor::event_mask() const {
-  return trace_mask_of(TraceEventKind::kSlotBegin) |
-         trace_mask_of(TraceEventKind::kEventBegin) |
-         trace_mask_of(TraceEventKind::kPlace) |
-         trace_mask_of(TraceEventKind::kDeadlineHit) |
-         trace_mask_of(TraceEventKind::kDeadlineMiss);
-}
-
 const char* InvariantAuditor::model() const {
   switch (model_) {
     case Model::kSfq:

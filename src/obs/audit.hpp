@@ -20,11 +20,10 @@
 //
 // Cost is O(changes) per decision: placements touch O(1) state each,
 // and the lag upper bound uses a lazy min-heap of per-task critical
-// times, so slots where nothing can go wrong cost O(1).  The auditor's
-// event_mask() fits inside kDecisionTraceEvents, so attaching *only* an
-// auditor keeps the simulators on their fast paths; it also tolerates
-// the full instrumented stream (extra kinds are ignored), including
-// streams replayed from `pfairsim --trace` JSONL files.
+// times, so slots where nothing can go wrong cost O(1).  It reads only
+// boundaries, placements and deadline outcomes (other kinds are
+// ignored), so it also audits streams replayed from `pfairsim --trace`
+// JSONL files.
 //
 // Violations surface three ways: an `AuditFinding` record (kept up to
 // AuditOptions::max_findings), a `kAuditFinding` trace event forwarded
@@ -90,9 +89,6 @@ class InvariantAuditor final : public TraceSink {
   explicit InvariantAuditor(const TaskSystem& sys, AuditOptions opts = {});
 
   void on_event(const TraceEvent& e) override;
-  /// Only the decision-outcome subset — attaching just an auditor keeps
-  /// the simulator on its O(changes) fast path.
-  [[nodiscard]] TraceEventMask event_mask() const override;
 
   /// Publishes audit.findings counters into `reg` (not owned).
   void attach_metrics(MetricsRegistry& reg) { registry_ = &reg; }

@@ -97,9 +97,6 @@ class CounterexampleRecorder final : public TraceSink {
                                   std::size_t prefix_capacity = 1024);
 
   void on_event(const TraceEvent& e) override;
-  [[nodiscard]] TraceEventMask event_mask() const override {
-    return kDecisionTraceEvents;
-  }
 
   /// First call snapshots the bundle (finding + trace prefix); later
   /// calls are ignored.

@@ -39,10 +39,7 @@ void Histogram::grow_max(std::int64_t x) noexcept {
 }
 
 void Histogram::add(std::int64_t x) noexcept {
-  const int b =
-      x <= 0 ? 0
-             : 64 - std::countl_zero(static_cast<std::uint64_t>(x));
-  buckets_[static_cast<std::size_t>(b)].fetch_add(
+  buckets_[detail::histogram_bucket(x)].fetch_add(
       1, std::memory_order_relaxed);
   sum_.fetch_add(x, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
@@ -70,6 +67,19 @@ void Histogram::merge_from(const Histogram& other) noexcept {
   // Sentinels make empty-source merges a no-op for min/max.
   shrink_min(other.min_.load(std::memory_order_relaxed));
   grow_max(other.max_.load(std::memory_order_relaxed));
+}
+
+void Histogram::merge_from(const HistogramTally& tally) noexcept {
+  if (tally.count_ == 0) return;
+  for (std::size_t b = 0; b < tally.buckets_.size(); ++b) {
+    if (tally.buckets_[b] != 0) {
+      buckets_[b].fetch_add(tally.buckets_[b], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(tally.count_, std::memory_order_relaxed);
+  sum_.fetch_add(tally.sum_, std::memory_order_relaxed);
+  shrink_min(tally.min_);
+  grow_max(tally.max_);
 }
 
 double HistogramSnapshot::quantile(double q) const {

@@ -10,8 +10,10 @@
 // parallel sweeps, where many workers bump the same counters.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -27,7 +29,15 @@ namespace detail {
 /// Stripe index of the calling thread (stable per thread, cheap).
 [[nodiscard]] std::size_t metrics_stripe();
 inline constexpr std::size_t kMetricsStripes = 8;
+/// Histogram bucket of a sample: its bit width (0 for x <= 0).
+[[nodiscard]] inline std::size_t histogram_bucket(std::int64_t x) noexcept {
+  return x <= 0 ? 0
+                : static_cast<std::size_t>(
+                      64 - std::countl_zero(static_cast<std::uint64_t>(x)));
+}
 }  // namespace detail
+
+class HistogramTally;
 
 /// Monotonic counter, striped across cache lines to keep concurrent
 /// writers from bouncing one atomic.
@@ -79,6 +89,9 @@ class Histogram {
   /// against concurrent add()s on either side; associative and
   /// commutative over the resulting (count, sum, min, max, buckets).
   void merge_from(const Histogram& other) noexcept;
+  /// Folds a single-writer tally in (safe against concurrent add()s
+  /// here; the tally itself must not change meanwhile).
+  void merge_from(const HistogramTally& tally) noexcept;
 
   [[nodiscard]] std::int64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -109,6 +122,28 @@ class Histogram {
   // "first sample" special case — that keeps merge_from lock-free too.
   std::atomic<std::int64_t> min_{INT64_MAX};
   std::atomic<std::int64_t> max_{INT64_MIN};
+};
+
+/// Single-writer, unsynchronized counterpart of Histogram for hot loops:
+/// the same buckets and summary with no atomic read-modify-write per
+/// sample.  Fold it into a Histogram in bulk with merge_from.
+class HistogramTally {
+ public:
+  void add(std::int64_t x) noexcept {
+    ++buckets_[detail::histogram_bucket(x)];
+    ++count_;
+    sum_ += x;
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
+
+ private:
+  friend class Histogram;
+  std::array<std::int64_t, Histogram::kBuckets> buckets_{};
+  std::int64_t count_ = 0;
+  std::int64_t sum_ = 0;
+  std::int64_t min_ = INT64_MAX;
+  std::int64_t max_ = INT64_MIN;
 };
 
 /// Plain-data view of one histogram at snapshot time.

@@ -1,12 +1,21 @@
 // SchedProbe — the single instrumentation point the simulators carry.
 //
 // A probe bundles an optional TraceSink with optional pre-resolved
-// metric handles.  Every hook is inline and starts with a null check,
-// so an unconfigured probe costs one predictable branch per call site
-// and touches no memory; `enabled()` lets hot loops skip whole
-// instrumentation blocks (ready-set scans, per-compare tracing) in one
-// test.  Attaching metrics resolves registry names once, up front —
-// the per-event path never does a string lookup.
+// metric handles.  Hooks are inline; `enabled()` lets the simulators
+// skip reporting a decision's outcome altogether in one test.  Every
+// hook is fed from the one O(changes) decision body — ready-set sizes
+// come from the ready heap, the decision boundary from its best
+// unplaced entry — so metrics and traces describe the production path.  Metrics are tallied in plain
+// per-probe integers (no atomic read-modify-write per event) and folded
+// into the registry by publish(), which the simulators call at the end
+// of every step()/run_until(); registry names are resolved once, when
+// metrics are attached.
+//
+// Preemption, as both simulators (and the quality counters of
+// obs/quality.hpp) count it: SFQ — a task placed in the previous slot,
+// still ready, and not placed in this one; DVQ — a subtask that starts
+// strictly after its predecessor completed although it was already
+// eligible at that completion.
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -17,15 +26,12 @@ namespace pfair {
 /// Metric names used by `SchedProbe::attach_metrics`.
 namespace sched_metrics {
 inline constexpr const char* kInvocations = "sched.invocations";
-inline constexpr const char* kComparisons = "sched.comparisons";
 inline constexpr const char* kPlacements = "sched.placements";
 inline constexpr const char* kPreemptions = "sched.preemptions";
 inline constexpr const char* kMigrations = "sched.migrations";
 inline constexpr const char* kIdleQuanta = "sched.idle_quanta";
 inline constexpr const char* kDeadlineMisses = "sched.deadline_misses";
 inline constexpr const char* kReadySetSize = "sched.ready_set_size";
-inline constexpr const char* kComparesPerDecision =
-    "sched.comparisons_per_decision";
 inline constexpr const char* kTardinessTicks = "sched.tardiness_ticks";
 }  // namespace sched_metrics
 
@@ -33,32 +39,21 @@ class SchedProbe {
  public:
   SchedProbe() = default;
 
-  /// Installs `sink` and caches its event mask — re-install the sink if
-  /// its mask changes.
-  void set_sink(TraceSink* sink) {
-    sink_ = sink;
-    mask_ = sink != nullptr ? sink->event_mask() : 0;
-  }
+  /// Installs `sink` (null uninstalls).
+  void set_sink(TraceSink* sink) { sink_ = sink; }
   /// Resolves the sched.* metric names in `reg` (stable handles).
   void attach_metrics(MetricsRegistry& reg);
+  /// Adds the metrics tallied since the last publish to the registry.
+  void publish();
 
   [[nodiscard]] bool tracing() const { return sink_ != nullptr; }
-  [[nodiscard]] bool metering() const { return invocations_ != nullptr; }
+  [[nodiscard]] bool metering() const { return reg_ != nullptr; }
   /// True iff any hook would do work — hot loops branch on this once.
   [[nodiscard]] bool enabled() const { return tracing() || metering(); }
-  /// True iff the naive instrumented scan is required to serve this
-  /// probe: metrics need full ready-set/comparison accounting, and so
-  /// does any sink wanting events beyond kDecisionTraceEvents.  When
-  /// enabled() but not wants_full_instrumentation(), the simulators use
-  /// the O(changes) fast path and emit only decision-outcome events.
-  [[nodiscard]] bool wants_full_instrumentation() const {
-    return metering() || (mask_ & ~kDecisionTraceEvents) != 0;
-  }
-  [[nodiscard]] TraceSink* sink() const { return sink_; }
 
   /// One scheduler invocation (slot boundary / event instant).
   void begin_decision(TraceEventKind kind, Time at, std::int64_t detail = 0) {
-    if (invocations_ != nullptr) invocations_->add();
+    ++tally_.invocations;
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = kind;
@@ -73,7 +68,7 @@ class SchedProbe {
   }
 
   void ready_set(Time at, std::int64_t n) {
-    if (ready_size_ != nullptr) ready_size_->add(n);
+    if (reg_ != nullptr) tally_.ready_size.add(n);
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = TraceEventKind::kReadySet;
@@ -83,8 +78,8 @@ class SchedProbe {
     }
   }
 
-  /// Outcome of one priority comparison (trace-only; counting goes
-  /// through comparisons()).
+  /// The decision boundary (trace-only): `winner`, the last subtask
+  /// placed, beat `loser`, the best one left unplaced, by `rule`.
   void compare_outcome(Time at, const SubtaskRef& winner,
                        const SubtaskRef& loser, TieRule rule) {
     if (sink_ != nullptr) {
@@ -97,16 +92,11 @@ class SchedProbe {
       emit(e);
     }
   }
-  /// `n` comparisons performed by one decision.
-  void comparisons(std::int64_t n) {
-    if (comparisons_ != nullptr) comparisons_->add(n);
-    if (compares_per_decision_ != nullptr) compares_per_decision_->add(n);
-  }
 
   /// `detail`: slot index (SFQ) or cost in ticks (DVQ).
   void place(Time at, const SubtaskRef& ref, int proc,
              std::int64_t detail) {
-    if (placements_ != nullptr) placements_->add();
+    ++tally_.placements;
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = TraceEventKind::kPlace;
@@ -119,7 +109,7 @@ class SchedProbe {
   }
 
   void migrate(Time at, const SubtaskRef& ref, int from, int to) {
-    if (migrations_ != nullptr) migrations_->add();
+    ++tally_.migrations;
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = TraceEventKind::kMigrate;
@@ -132,7 +122,7 @@ class SchedProbe {
   }
 
   void preempt(Time at, const SubtaskRef& ref) {
-    if (preemptions_ != nullptr) preemptions_->add();
+    ++tally_.preemptions;
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = TraceEventKind::kPreempt;
@@ -142,7 +132,7 @@ class SchedProbe {
     }
   }
 
-  /// A processor free at a DVQ decision instant (trace-only).
+  /// A processor retiring its quantum at a DVQ instant (trace-only).
   void proc_free(Time at, int proc) {
     if (sink_ != nullptr) {
       TraceEvent e;
@@ -153,12 +143,15 @@ class SchedProbe {
     }
   }
 
-  /// `count` processors left without work after a decision.
-  void idle(Time at, std::int64_t count) {
-    if (idle_quanta_ != nullptr) idle_quanta_->add(count);
+  /// `count` processors left without work after a decision;
+  /// `until_boundary`: they wait for their next own quantum boundary
+  /// (staggered model) instead of staying free.
+  void idle(Time at, std::int64_t count, bool until_boundary = false) {
+    tally_.idle_quanta += count;
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = TraceEventKind::kProcIdle;
+      e.aux = until_boundary ? 1 : 0;
       e.at = at;
       e.detail = count;
       emit(e);
@@ -168,10 +161,8 @@ class SchedProbe {
   /// Deadline outcome of a completed subtask.
   void deadline(Time at, const SubtaskRef& ref,
                 std::int64_t tardiness_ticks) {
-    if (tardiness_ != nullptr) tardiness_->add(tardiness_ticks);
-    if (tardiness_ticks > 0 && deadline_misses_ != nullptr) {
-      deadline_misses_->add();
-    }
+    if (reg_ != nullptr) tally_.tardiness.add(tardiness_ticks);
+    if (tardiness_ticks > 0) ++tally_.deadline_misses;
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = tardiness_ticks > 0 ? TraceEventKind::kDeadlineMiss
@@ -186,17 +177,30 @@ class SchedProbe {
  private:
   void emit(const TraceEvent& e) { sink_->on_event(e); }
 
+  // Counts since the last publish.  Counters tick even with no registry
+  // attached (a plain increment is cheaper than a branch); attaching one
+  // drops what was counted before.
+  struct Tally {
+    std::int64_t invocations = 0;
+    std::int64_t placements = 0;
+    std::int64_t preemptions = 0;
+    std::int64_t migrations = 0;
+    std::int64_t idle_quanta = 0;
+    std::int64_t deadline_misses = 0;
+    HistogramTally ready_size;
+    HistogramTally tardiness;
+  };
+
   TraceSink* sink_ = nullptr;
-  TraceEventMask mask_ = 0;
+  MetricsRegistry* reg_ = nullptr;
+  Tally tally_;
   Counter* invocations_ = nullptr;
-  Counter* comparisons_ = nullptr;
   Counter* placements_ = nullptr;
   Counter* preemptions_ = nullptr;
   Counter* migrations_ = nullptr;
   Counter* idle_quanta_ = nullptr;
   Counter* deadline_misses_ = nullptr;
   Histogram* ready_size_ = nullptr;
-  Histogram* compares_per_decision_ = nullptr;
   Histogram* tardiness_ = nullptr;
 };
 

@@ -1,11 +1,13 @@
 // Structured scheduler trace events — the decision-level record the
 // paper's arguments (and the overhead accounting of Nelissen et al.)
-// are made of: slot/event boundaries, ready sets, priority-comparison
-// outcomes, placements, preemptions, migrations and deadline results.
+// are made of: slot/event boundaries, ready sets, the priority rule that
+// separated placed from unplaced work, placements, preemptions,
+// migrations and deadline results.
 //
-// Events are emitted by the simulators into an installed `TraceSink`;
-// with no sink installed the hot paths skip all trace work (a single
-// predictable branch).  Two sinks ship with the library: a bounded
+// Events are emitted by the simulators into an installed `TraceSink`,
+// from the same O(changes) decision body that runs untraced, so a trace
+// describes what the production heap did; with no sink installed that
+// body skips all trace work (a single predictable branch).  Two sinks ship with the library: a bounded
 // in-memory ring buffer (keeps the newest events, counts drops) and a
 // streaming JSONL sink (one JSON object per line).  `TeeSink` fans one
 // event stream out to two sinks.
@@ -29,13 +31,16 @@ class Counter;
 enum class TraceEventKind : std::uint8_t {
   kSlotBegin,     ///< SFQ slot boundary reached (detail = slot index)
   kEventBegin,    ///< DVQ event instant reached
-  kReadySet,      ///< ready set computed (detail = its size)
-  kCompare,       ///< priority comparison: subject beat other (aux = rule)
+  kReadySet,      ///< ready heap size after readiness drain (detail)
+  kCompare,       ///< decision boundary: subject, the last subtask placed,
+                  ///< beat other, the best one left unplaced (aux = rule)
   kPlace,         ///< subject placed on proc (detail = cost/slot)
-  kPreempt,       ///< subject was ready but denied a processor
+  kPreempt,       ///< subject lost the processor it held (see probe.hpp)
   kMigrate,       ///< subject placed on proc != predecessor's (aux = from)
-  kProcFree,      ///< proc free at a DVQ decision instant
-  kProcIdle,      ///< capacity left idle after a decision (detail = count)
+  kProcFree,      ///< proc retired its quantum at this DVQ instant
+  kProcIdle,      ///< capacity left idle after a decision (detail = count;
+                  ///< aux = 1: staggered processors that wait for their
+                  ///< next own boundary rather than stay free)
   kDeadlineHit,   ///< subject completed by its deadline
   kDeadlineMiss,  ///< subject missed (detail = tardiness in ticks)
   kAuditFinding,  ///< invariant violation (aux = Violation::Kind, detail =
@@ -43,35 +48,6 @@ enum class TraceEventKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(TraceEventKind k);
-
-/// Bitmask over TraceEventKind: bit `1 << kind` set means the sink wants
-/// events of that kind.  A sink's mask is a *path-selection hint* for the
-/// simulators, not a filter: a sink may still receive events outside its
-/// mask (e.g. from an instrumented run forced by another sink in a tee).
-using TraceEventMask = std::uint32_t;
-
-[[nodiscard]] constexpr TraceEventMask trace_mask_of(TraceEventKind k) {
-  return TraceEventMask{1} << static_cast<unsigned>(k);
-}
-
-/// Every event kind (the default sink mask).
-inline constexpr TraceEventMask kAllTraceEvents =
-    (trace_mask_of(TraceEventKind::kAuditFinding) << 1) - 1;
-
-/// The decision-outcome subset the O(changes) fast paths can emit without
-/// falling back to the naive instrumented scan: slot/event boundaries,
-/// placements, migrations and deadline outcomes.  A sink whose mask is a
-/// subset of this keeps the simulator on the fast path (see
-/// SchedProbe::wants_full_instrumentation); ready-set sizes, comparison
-/// outcomes, preemptions, free/idle processors require the full scan.
-inline constexpr TraceEventMask kDecisionTraceEvents =
-    trace_mask_of(TraceEventKind::kSlotBegin) |
-    trace_mask_of(TraceEventKind::kEventBegin) |
-    trace_mask_of(TraceEventKind::kPlace) |
-    trace_mask_of(TraceEventKind::kMigrate) |
-    trace_mask_of(TraceEventKind::kDeadlineHit) |
-    trace_mask_of(TraceEventKind::kDeadlineMiss) |
-    trace_mask_of(TraceEventKind::kAuditFinding);
 
 /// Which priority rule decided a comparison (see PriorityOrder::compare).
 enum class TieRule : std::uint8_t {
@@ -112,13 +88,6 @@ class TraceSink {
   /// Called at the end of every simulator step (and at end of run) so
   /// sinks that group events per decision can commit.  Default no-op.
   virtual void flush() {}
-  /// The event kinds this sink needs (default: everything).  Queried
-  /// once when the sink is installed; sinks that only need the
-  /// kDecisionTraceEvents subset keep the simulator on its O(changes)
-  /// fast path.
-  [[nodiscard]] virtual TraceEventMask event_mask() const {
-    return kAllTraceEvents;
-  }
 };
 
 /// Bounded in-memory sink: keeps the `capacity` newest events and
@@ -178,14 +147,6 @@ class TeeSink final : public TraceSink {
   void flush() override {
     if (a_ != nullptr) a_->flush();
     if (b_ != nullptr) b_->flush();
-  }
-  /// Union of the children's needs: any child requiring the full stream
-  /// pulls the whole tee onto the instrumented path.
-  [[nodiscard]] TraceEventMask event_mask() const override {
-    TraceEventMask m = 0;
-    if (a_ != nullptr) m |= a_->event_mask();
-    if (b_ != nullptr) m |= b_->event_mask();
-    return m;
   }
 
  private:

@@ -30,7 +30,6 @@
 #include "tasks/windows.hpp"         // IWYU pragma: export
 
 #include "sched/compressed_schedule.hpp"  // IWYU pragma: export
-#include "sched/indexed_scheduler.hpp"  // IWYU pragma: export
 #include "sched/packed_key.hpp"     // IWYU pragma: export
 #include "sched/pdb_scheduler.hpp"  // IWYU pragma: export
 #include "sched/priority.hpp"       // IWYU pragma: export

@@ -111,8 +111,9 @@ class CycleSchedule {
                                                 const SfqOptions& opts = {});
 
 /// Re-emits the decision-outcome trace stream (slot begins, placements,
-/// migrations, deadline outcomes — the kDecisionTraceEvents shapes the
-/// simulators produce) of an already-computed schedule into `sink`.
+/// migrations, deadline outcomes — the shapes the simulators produce for
+/// them; no ready-set, boundary, preemption or idle events) of an
+/// already-computed schedule into `sink`.
 /// This is how a CycleSchedule-backed run feeds the InvariantAuditor
 /// without materializing.  O(horizon + subtasks log subtasks).
 void replay_decisions(const TaskSystem& sys, const CycleSchedule& sched,

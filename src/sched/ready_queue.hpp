@@ -44,10 +44,9 @@
 // allocations across repeated schedule calls); otherwise the heap.
 //
 // Entries are never erased in place.  A task's head subtask enters when
-// it becomes available and normally leaves by being popped; when the
-// instrumented (probe-on) path schedules behind the queue's back, the
-// stale entry stays and callers skip it with a head check (an entry is
-// live iff it still names its task's next unscheduled subtask).
+// it becomes available and leaves by being popped; the simulators place
+// only what they pop, so every entry names its task's next unscheduled
+// subtask (they assert this on each pop).
 #pragma once
 
 #include <algorithm>
@@ -132,8 +131,8 @@ class ReadyQueue {
     std::push_heap(fb_.begin(), fb_.end(), Lower{this});
   }
 
-  /// Removes and returns the highest-priority entry (possibly stale —
-  /// see header note).  Precondition: !empty().
+  /// Removes and returns the highest-priority entry.
+  /// Precondition: !empty().
   SubtaskRef pop_best() {
     if (!packed_) {
       std::pop_heap(fb_.begin(), fb_.end(), Lower{this});
@@ -154,6 +153,14 @@ class ReadyQueue {
     k[last] = ~std::uint64_t{0};  // start of the shifted pad window
     if (n_ != 0) sift_down(lk, lp);
     return unpack_ref(top);
+  }
+
+  /// The highest-priority entry, left in place (!empty()).  Drains any
+  /// due deadline bucket, hence non-const.
+  [[nodiscard]] SubtaskRef peek() {
+    if (!packed_) return fb_.front();
+    maybe_drain();
+    return unpack_ref(payload_.data()[kBase]);
   }
 
   /// The task owning the current best entry (packed mode; !empty()).

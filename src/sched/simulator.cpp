@@ -245,6 +245,7 @@ std::vector<SubtaskRef> SfqSimulator::ready() const {
 std::vector<SubtaskRef> SfqSimulator::step() {
   scratch_picks_.clear();
   step_into(scratch_picks_);
+  probe_.publish();
   return std::vector<SubtaskRef>(scratch_picks_.begin(), scratch_picks_.end());
 }
 
@@ -255,18 +256,10 @@ void SfqSimulator::step_into(ArenaVector<SubtaskRef>& picks) {
   }
   {
     PFAIR_PROF_SPAN(kReadyHeap);
-    if (probe_.enabled()) [[unlikely]] {
-      if (probe_.wants_full_instrumentation()) {
-        step_instrumented(picks);
-      } else {
-        step_fast<true>(picks);
-      }
-    } else {
-      step_fast<false>(picks);
-    }
+    step_fast(picks);
   }
-  if (quality_ != nullptr) [[unlikely]] {
-    note_quality(picks.data(), picks.size());
+  if (probe_.enabled() || quality_ != nullptr) [[unlikely]] {
+    note_decision(picks.data(), picks.size());
   }
 }
 
@@ -282,56 +275,7 @@ void SfqSimulator::set_quality(QualityCounters* q) {
   }
 }
 
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void SfqSimulator::note_quality(const SubtaskRef* picks, std::size_t count) {
-  const std::int64_t t = now_ - 1;  // the slot just decided
-  QualityCounters& q = *quality_;
-  ++q.decision_points;
-  const auto procs = static_cast<std::size_t>(sys_->processors());
-  q.idle_slots += static_cast<std::int64_t>(procs - count);
-  for (std::size_t r = 0; r < count; ++r) {
-    const SubtaskRef ref = picks[r];
-    if (ref.seq > 0) {
-      const int prev =
-          sched_->placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
-      if (prev >= 0 && prev != static_cast<int>(r)) ++q.migrations;
-    }
-    std::int32_t& occupant = proc_task_[r];
-    if (occupant != ref.task) {
-      if (occupant >= 0) {
-        ++q.context_switches;
-        ++q.per_proc_switches[r];
-      }
-      occupant = ref.task;
-    }
-  }
-  // A task that held a processor in the previous slot, is still ready
-  // here (eligible, work left) and was not placed, was preempted.  Only
-  // last slot's picks are candidates; a placement this slot would have
-  // advanced last_slot to t.
-  for (const std::int32_t k : prev_tasks_) {
-    const HotTask& h = hot_[static_cast<std::size_t>(k)];
-    if (h.last_slot != t - 1) continue;
-    if (h.head >= h.count) continue;
-    const PosRec& pr = pos_[static_cast<std::size_t>(h.pos_off) +
-                            static_cast<std::size_t>(h.rem)];
-    if (pr.elig_base + static_cast<std::int64_t>(h.job) * h.elig_p > t) {
-      continue;
-    }
-    ++q.preemptions;
-  }
-  prev_tasks_.clear();
-  for (std::size_t r = 0; r < count; ++r) prev_tasks_.push_back(picks[r].task);
-}
-
-template <bool kTraced>
 void SfqSimulator::step_fast(ArenaVector<SubtaskRef>& picks) {
-  [[maybe_unused]] const Time at = Time::slots(now_);
-  if constexpr (kTraced) {
-    probe_.begin_decision(TraceEventKind::kSlotBegin, at, now_);
-  }
   const auto m = static_cast<std::size_t>(sys_->processors());
   const HotTask* hot = hot_.data();
   while (picks.size() < m && !ready_q_.empty()) {
@@ -340,93 +284,93 @@ void SfqSimulator::step_fast(ArenaVector<SubtaskRef>& picks) {
       simd::prefetch(&hot[static_cast<std::size_t>(ready_q_.peek_task())]);
     }
     const SubtaskRef ref = ready_q_.pop_best();
-    // Skip entries scheduled behind the heap's back by an instrumented
-    // step (the head moved on).
+    // Every queued entry names its task's current head: only this body
+    // places subtasks, and a task re-enters the queue only after its
+    // previous head was popped and placed.
     const HotTask& h = hot[static_cast<std::size_t>(ref.task)];
-    if (h.head != ref.seq) continue;
+    PFAIR_ASSERT(h.head == ref.seq);
     const int proc = static_cast<int>(picks.size());
     place_fast(h, ref.seq, proc);
-    if constexpr (kTraced) note_placement(at, ref, proc);
     commit_placement(ref);
     picks.push_back(ref);
   }
   ++now_;
-  if constexpr (kTraced) probe_.end_decision();
-}
-
-// noinline: instrumented-path-only code; folding these into step() costs
-// the *uninstrumented* path measurable icache pressure.
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void SfqSimulator::step_instrumented(ArenaVector<SubtaskRef>& picks) {
-  const Time at = Time::slots(now_);
-  probe_.begin_decision(TraceEventKind::kSlotBegin, at, now_);
-  scratch_instr_ = ready();
-  const auto m = std::min<std::size_t>(
-      static_cast<std::size_t>(sys_->processors()), scratch_instr_.size());
-  sort_picks_instrumented(scratch_instr_, m, at);
-  scratch_instr_.resize(m);
-  for (std::size_t r = 0; r < m; ++r) {
-    const SubtaskRef ref = scratch_instr_[r];
-    sched_->place(ref, now_, static_cast<int>(r));
-    note_placement(at, ref, static_cast<int>(r));
-    commit_placement(ref);
-    picks.push_back(ref);
-  }
-  ++now_;
-  probe_.end_decision();
 }
 
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
-void SfqSimulator::sort_picks_instrumented(std::vector<SubtaskRef>& picks,
-                                           std::size_t m, Time at) {
-  probe_.ready_set(at, static_cast<std::int64_t>(picks.size()));
-  // Instrumented comparator: identical ordering (same compare + same id
-  // tie-break), with the comparison count and — when tracing — the
-  // deciding rule reported on the side.
-  std::int64_t ncmp = 0;
-  const bool tracing = probe_.tracing();
-  std::partial_sort(
-      picks.begin(), picks.begin() + static_cast<std::ptrdiff_t>(m),
-      picks.end(),
-      [this, at, tracing, &ncmp](const SubtaskRef& a, const SubtaskRef& b) {
-        ++ncmp;
-        TieRule rule = TieRule::kTie;
-        const int c = order_.compare(a, b, &rule);
-        const bool a_wins = c != 0 ? c < 0 : a < b;
-        if (tracing) {
-          probe_.compare_outcome(at, a_wins ? a : b, a_wins ? b : a, rule);
+void SfqSimulator::note_decision(const SubtaskRef* picks, std::size_t count) {
+  const std::int64_t slot = now_ - 1;  // the slot just decided
+  const Time at = Time::slots(slot);
+  QualityCounters* q = quality_;
+  const bool observed = probe_.enabled();  // else quality counters only
+  probe_.begin_decision(TraceEventKind::kSlotBegin, at, slot);
+  // The heap held the picks plus what is still queued (staged included).
+  probe_.ready_set(at, static_cast<std::int64_t>(ready_q_.size() + count));
+  if (q != nullptr) ++q->decision_points;
+  for (std::size_t r = 0; r < count; ++r) {
+    const SubtaskRef ref = picks[r];
+    const int proc = static_cast<int>(r);
+    probe_.place(at, ref, proc, slot);
+    if (ref.seq > 0) {
+      const std::int64_t cell =
+          hot_[static_cast<std::size_t>(ref.task)].cell_base + ref.seq - 1;
+      const int prev = cells_[static_cast<std::size_t>(cell)].proc_p1 - 1;
+      if (prev != proc) {
+        probe_.migrate(at, ref, prev, proc);
+        if (q != nullptr) ++q->migrations;
+      }
+    }
+    if (observed) {
+      const std::int64_t tard_slots = std::max<std::int64_t>(
+          0, slot + 1 - sys_->task(ref.task).deadline_at(ref.seq));
+      probe_.deadline(at, ref, tard_slots * kTicksPerSlot);
+    }
+    if (q != nullptr) {
+      std::int32_t& occupant = proc_task_[r];
+      if (occupant != ref.task) {
+        if (occupant >= 0) {
+          ++q->context_switches;
+          ++q->per_proc_switches[r];
         }
-        return a_wins;
-      });
-  probe_.comparisons(ncmp);
-  // Tasks that held a processor in the previous slot and are ready but
-  // lost out in this one were preempted; unused capacity is idle.
-  for (std::size_t r = m; r < picks.size(); ++r) {
-    const auto k = static_cast<std::size_t>(picks[r].task);
-    if (hot_[k].last_slot == now_ - 1) probe_.preempt(at, picks[r]);
+        occupant = ref.task;
+      }
+    }
   }
+  // The boundary: the last pick against the best entry left queued.
+  if (count > 0 && probe_.tracing() && !ready_q_.empty()) {
+    const SubtaskRef other = ready_q_.peek();
+    TieRule rule = TieRule::kTie;
+    (void)order_.compare(picks[count - 1], other, &rule);
+    probe_.compare_outcome(at, picks[count - 1], other, rule);
+  }
+  // A task that held a processor in the previous slot, is still ready
+  // here (eligible, work left) and was not placed, was preempted.  Only
+  // last slot's picks are candidates; a placement this slot would have
+  // advanced last_slot to `slot`.  (A probe attached mid-run sees no
+  // candidates for its first slot.)
+  for (const std::int32_t k : prev_tasks_) {
+    const HotTask& h = hot_[static_cast<std::size_t>(k)];
+    if (h.last_slot != slot - 1) continue;
+    if (h.head >= h.count) continue;
+    const PosRec& pr = pos_[static_cast<std::size_t>(h.pos_off) +
+                            static_cast<std::size_t>(h.rem)];
+    if (pr.elig_base + static_cast<std::int64_t>(h.job) * h.elig_p > slot) {
+      continue;
+    }
+    probe_.preempt(at, SubtaskRef{k, h.head});
+    if (q != nullptr) ++q->preemptions;
+  }
+  prev_tasks_.clear();
+  for (std::size_t r = 0; r < count; ++r) prev_tasks_.push_back(picks[r].task);
   const auto procs = static_cast<std::size_t>(sys_->processors());
-  if (m < procs) {
-    probe_.idle(at, static_cast<std::int64_t>(procs - m));
+  if (count < procs) {
+    const auto idle = static_cast<std::int64_t>(procs - count);
+    probe_.idle(at, idle);
+    if (q != nullptr) q->idle_slots += idle;
   }
-}
-
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void SfqSimulator::note_placement(Time at, SubtaskRef ref, int proc) {
-  probe_.place(at, ref, proc, now_);
-  if (ref.seq > 0) {
-    const int prev = sched_->placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
-    if (prev >= 0 && prev != proc) probe_.migrate(at, ref, prev, proc);
-  }
-  const std::int64_t tard_slots =
-      std::max<std::int64_t>(0, now_ + 1 - sys_->subtask(ref).deadline);
-  probe_.deadline(at, ref, tard_slots * kTicksPerSlot);
+  probe_.end_decision();
 }
 
 void SfqSimulator::run_until(std::int64_t slot_limit) {
@@ -434,6 +378,7 @@ void SfqSimulator::run_until(std::int64_t slot_limit) {
     scratch_picks_.clear();
     step_into(scratch_picks_);
   }
+  probe_.publish();
 }
 
 void SfqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,

@@ -17,7 +17,7 @@
 // (`schedule_sfq_reference`), which re-scans and re-sorts everything —
 // the A/B equivalence suite asserts this across policies and workloads.
 //
-// The uninstrumented hot path is data-oriented.  All per-task mutable
+// The slot body is data-oriented.  All per-task mutable
 // state a placement touches lives in one 64-byte HotTask record (head,
 // last slot, the head's precomputed priority key, and the in-period
 // cursor that advances it without division); the per-position
@@ -32,14 +32,12 @@
 // in steady state.  None of this changes placements: keys realize the
 // same strict total order, so the A/B suite pins bit-identicality.
 //
-// With a probe attached (trace sink or metrics), step() instead takes
-// the instrumented path: the naive full scan plus the event-reporting
-// partial_sort, unchanged from before this optimization, so trace
-// streams and metric values stay exactly stable.  Exception: a sink
-// whose event_mask() fits inside kDecisionTraceEvents (e.g. the
-// InvariantAuditor) is served from the fast path with only the
-// decision-outcome events emitted.  Whatever the path, the placements
-// are the same.
+// There is one slot body.  With a probe (trace sink or metrics) or
+// quality counters attached, the slot's outcome is reported after the
+// body ran, at O(picks) cost: the ready-heap size, the placements, the
+// boundary between the last pick and the heap's best unplaced entry,
+// preemptions of last slot's picks, and idle capacity.  Attaching
+// observers therefore never changes which code places subtasks.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +76,8 @@ class SfqSimulator {
   [[nodiscard]] bool done() const { return remaining_ == 0; }
 
   /// The subtasks that would be ready if the current slot were scheduled
-  /// now (unsorted, one per task at most).  Introspection only — a full
-  /// scan, not the hot path.
+  /// now (unsorted, one per task at most).  Introspection for tests — a
+  /// full scan, not the hot path.
   [[nodiscard]] std::vector<SubtaskRef> ready() const;
 
   /// Schedules slot now(), returns the chosen subtasks in priority order
@@ -113,8 +111,6 @@ class SfqSimulator {
     // counters are one.
     return hot_[static_cast<std::size_t>(task)].head;
   }
-  /// True iff a probe (trace sink or metrics) is attached.
-  [[nodiscard]] bool instrumented() const { return probe_.enabled(); }
 
   /// Fast-forwards `cycles` repetitions of a detected steady-state cycle
   /// of `cycle_slots` slots in which task k places exactly
@@ -130,17 +126,18 @@ class SfqSimulator {
             const std::vector<std::int64_t>& cycle_allocs);
 
   /// Installs a structured trace sink (not owned; may be null to
-  /// uninstall).  With no sink and no metrics attached, step() takes the
-  /// uninstrumented path and the schedule produced is bit-identical.
+  /// uninstall).  The schedule produced is bit-identical either way.
   void set_trace_sink(TraceSink* sink) { probe_.set_sink(sink); }
   /// Accumulates sched.* metrics (see obs/probe.hpp) into `reg`, which
-  /// must outlive the simulator.
+  /// must outlive the simulator; they land there at the end of every
+  /// step() / run_until() call.
   void attach_metrics(MetricsRegistry& reg) { probe_.attach_metrics(reg); }
   /// Accumulates scheduler-quality counters (obs/quality.hpp) into `q`
-  /// incrementally, one O(M) update per slot, on every path (fast,
-  /// traced, instrumented) — placements are unaffected.  Must be
-  /// attached before the first step; `q` must outlive the simulator.
-  /// analysis/recount.hpp recomputes the same numbers offline.
+  /// incrementally, one O(M) update per slot, from the same outcome
+  /// report the probe reads (so sched.* metrics agree with them) —
+  /// placements are unaffected.  Must be attached before the first
+  /// step; `q` must outlive the simulator.  analysis/recount.hpp
+  /// recomputes the same numbers offline.
   void set_quality(QualityCounters* q);
 
  private:
@@ -188,23 +185,13 @@ class SfqSimulator {
   // One slot's decisions appended into `picks` (not cleared; reused as a
   // scratch buffer by run_until so the hot loop never reallocates).
   void step_into(ArenaVector<SubtaskRef>& picks);
-  // The O(changes) slot body.  kTraced additionally reports the
-  // decision-outcome events (slot begin, placements, migrations,
-  // deadlines) — the kDecisionTraceEvents subset of the instrumented
-  // stream — without the naive scan.
-  template <bool kTraced>
+  // The O(changes) slot body: pops at most M winners off the ready heap.
   void step_fast(ArenaVector<SubtaskRef>& picks);
-  // The pre-optimization slot body: naive scan + instrumented sort +
-  // trace/metrics reporting.  Identical placements, full reporting.
-  void step_instrumented(ArenaVector<SubtaskRef>& picks);
-  void sort_picks_instrumented(std::vector<SubtaskRef>& picks,
-                               std::size_t m, Time at);
-  void note_placement(Time at, SubtaskRef ref, int proc);
-  // Folds one slot's decisions (already committed; now_ advanced) into
-  // quality_.  `picks[r]` ran on processor r — true on every path.
-  void note_quality(const SubtaskRef* picks, std::size_t count);
+  // Reports one committed slot (placements written, now_ advanced) to
+  // the probe and the quality counters.  `picks[r]` ran on processor r.
+  void note_decision(const SubtaskRef* picks, std::size_t count);
 
-  // Bookkeeping shared by both paths for one placement in slot now():
+  // Bookkeeping for one placement in slot now():
   // head/lag/progress counters plus the successor's calendar entry.
   void commit_placement(const SubtaskRef& ref);
   // Marks task `task`'s current head available from `slot` on.
@@ -236,7 +223,6 @@ class SfqSimulator {
   std::int64_t drained_upto_ = -1;
 
   ArenaVector<SubtaskRef> scratch_picks_;
-  std::vector<SubtaskRef> scratch_instr_;  // instrumented path only
   // Warp batch-recompute scratch (SIMD affine_keys operands).
   ArenaVector<std::uint64_t> warp_base_;
   ArenaVector<std::uint64_t> warp_step_;
@@ -249,8 +235,8 @@ class SfqSimulator {
   bool packed_;
 
   // Quality accounting (null = off): the task occupying each processor
-  // at the last slot that used it, and the tasks placed last slot (the
-  // only preemption candidates).
+  // at the last slot that used it.  prev_tasks_: the tasks placed last
+  // slot (the only preemption candidates), kept while observed.
   QualityCounters* quality_ = nullptr;
   std::vector<std::int32_t> proc_task_;
   std::vector<std::int32_t> prev_tasks_;

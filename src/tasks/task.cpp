@@ -99,6 +99,16 @@ std::int64_t Task::eligible_at(std::int64_t seq) const {
   return phase_ + (seq / t.e()) * t.p() + t.release_at(seq % t.e());
 }
 
+std::int64_t Task::deadline_at(std::int64_t seq) const {
+  PFAIR_REQUIRE(seq >= 0 && seq < num_subtasks(),
+                "subtask seq " << seq << " out of range for task " << name_);
+  if (table_ == nullptr) {
+    return subtasks_[static_cast<std::size_t>(seq)].deadline;
+  }
+  const WindowTable& t = *table_;
+  return phase_ + (seq / t.e()) * t.p() + t.deadline_at(seq % t.e());
+}
+
 void Task::validate() const {
   const Subtask* prev = nullptr;
   for (const Subtask& s : subtasks_) {

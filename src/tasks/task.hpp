@@ -112,8 +112,11 @@ class Task {
   }
 
   /// e(T) of the subtask at `seq` without synthesizing the full Subtask —
-  /// the only field the simulators' uninstrumented hot paths read.
+  /// the only field the simulators' decision bodies read.
   [[nodiscard]] std::int64_t eligible_at(std::int64_t seq) const;
+  /// d(T) of the subtask at `seq`, likewise (the observed runs' deadline
+  /// outcomes).
+  [[nodiscard]] std::int64_t deadline_at(std::int64_t seq) const;
 
   /// True iff subtasks are synthesized from a shared window table.
   [[nodiscard]] bool flyweight() const { return table_ != nullptr; }

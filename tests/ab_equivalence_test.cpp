@@ -15,6 +15,7 @@
 #include "core/thread_pool.hpp"
 #include "dvq/dvq_scheduler.hpp"
 #include "dvq/reference_scheduler.hpp"
+#include "dvq/staggered.hpp"
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
@@ -184,10 +185,8 @@ TEST(AbEquivalence, DvqMatchesNaiveReferenceAcrossSeedsAndPolicies) {
   EXPECT_EQ(failures.count.load(), 0) << failures.first;
 }
 
-// An attached invariant auditor (whose event_mask is the decision-only
-// subset, keeping the simulators on their fast paths) must be invisible
-// to the schedule in both models — and must stay clean on these
-// feasible systems.
+// An attached invariant auditor must be invisible to the schedule in
+// both models — and must stay clean on these feasible systems.
 TEST(AbEquivalence, AuditorOnRunsAreBitIdentical) {
   FailureLog failures;
   global_pool().parallel_for(
@@ -283,10 +282,9 @@ TEST(AbEquivalence, FlyweightConstructionMatchesEagerSchedules) {
   }
 }
 
-// Toggling the probe mid-run switches between the instrumented scan and
-// the incremental heap; the schedule must not notice.  This exercises
-// the stale-entry skip in the ready queue (entries consumed behind its
-// back by instrumented steps).
+// Toggling the probe mid-run switches the decision body between its
+// traced and untraced instantiations; the schedule must not notice (and
+// the ready queue's every-entry-is-live assertion must hold throughout).
 TEST(AbEquivalence, SfqMixedInstrumentationStaysIdentical) {
   for (const Policy policy : kAllPolicies) {
     const TaskSystem sys = make_system(5);
@@ -337,6 +335,120 @@ TEST(AbEquivalence, DvqMixedInstrumentationStaysIdentical) {
     ASSERT_TRUE(same_dvq(ref, sim.schedule(), sys, &why))
         << to_string(policy) << ": " << why;
   }
+}
+
+// Counts events and checks every decision-boundary event against the
+// priority order it claims to explain.
+class BoundaryCheckSink final : public TraceSink {
+ public:
+  explicit BoundaryCheckSink(const PriorityOrder& order) : order_(&order) {}
+  void on_event(const TraceEvent& e) override {
+    ++events;
+    if (e.kind != TraceEventKind::kCompare) return;
+    ++boundaries;
+    TieRule rule = TieRule::kTie;
+    (void)order_->compare(e.subject, e.other, &rule);
+    if (!order_->higher(e.subject, e.other) ||
+        e.aux != static_cast<std::int32_t>(rule)) {
+      ++wrong;
+    }
+  }
+  std::int64_t events = 0;
+  std::int64_t boundaries = 0;
+  std::int64_t wrong = 0;
+
+ private:
+  const PriorityOrder* order_;
+};
+
+// Traces and metrics describe the production path: with metrics, quality
+// counters and a trace sink all attached, the sched.* counters equal the
+// quality counters (one outcome report feeds both), every boundary event
+// names a strictly higher subject and the rule PriorityOrder::compare
+// gives, the stream stays O(changes) in size, and the schedule is the
+// plain run's — for SFQ, DVQ and staggered runs.
+TEST(AbEquivalence, TracesDescribeProduction) {
+  FailureLog failures;
+  std::atomic<std::int64_t> boundaries{0};
+  global_pool().parallel_for(
+      0, kSeeds * 4,
+      [&](std::int64_t i) {
+          const int seed = static_cast<int>(i / 4);
+          const Policy policy = kAllPolicies[i % 4];
+          const TaskSystem sys = make_system(seed);
+          const PriorityOrder order(sys, policy);
+          const BernoulliYield yields(
+              static_cast<std::uint64_t>(seed) * 7919 + 3, 1, 3, kTick,
+              kQuantum - kTick);
+          for (const std::string model : {"sfq", "dvq", "stag"}) {
+            const std::string tag = "seed " + std::to_string(seed) + " " +
+                                    to_string(policy) + " " + model;
+            MetricsRegistry reg;
+            QualityCounters q;
+            BoundaryCheckSink sink(order);
+            std::int64_t placed = 0;
+            std::string why;
+            bool same = false;
+            if (model == "sfq") {
+              SfqOptions opts;
+              opts.policy = policy;
+              const SlotSchedule plain = schedule_sfq(sys, opts);
+              opts.trace = &sink;
+              opts.metrics = &reg;
+              opts.quality = &q;
+              const SlotSchedule observed = schedule_sfq(sys, opts);
+              placed = observed.placed_count();
+              same = same_sfq(plain, observed, sys, &why);
+            } else {
+              DvqOptions opts;
+              opts.policy = policy;
+              const bool stag = model == "stag";
+              const auto run = [&](const DvqOptions& o) {
+                return stag ? schedule_staggered(sys, yields, o)
+                            : schedule_dvq(sys, yields, o);
+              };
+              const DvqSchedule plain = run(opts);
+              opts.trace = &sink;
+              opts.metrics = &reg;
+              opts.quality = &q;
+              const DvqSchedule observed = run(opts);
+              for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+                for (std::int32_t s = 0; s < sys.task(k).num_subtasks();
+                     ++s) {
+                  placed += observed.placement(SubtaskRef{k, s}).placed;
+                }
+              }
+              same = same_dvq(plain, observed, sys, &why);
+            }
+            if (!same) failures.record(tag + " observed: " + why);
+            const MetricsSnapshot snap = reg.snapshot();
+            const auto counter = [&](const char* name) {
+              return snap.counter_or(name);
+            };
+            if (counter(sched_metrics::kPreemptions) != q.preemptions ||
+                counter(sched_metrics::kMigrations) != q.migrations ||
+                counter(sched_metrics::kIdleQuanta) != q.idle_slots ||
+                counter(sched_metrics::kPlacements) != placed ||
+                counter(sched_metrics::kInvocations) != q.decision_points) {
+              failures.record(tag + ": sched.* metrics differ from the "
+                                    "quality counters");
+            }
+            if (sink.wrong != 0) {
+              failures.record(tag + ": " + std::to_string(sink.wrong) +
+                              " boundary event(s) contradict the order");
+            }
+            if (sink.events > 4 * placed + 5 * q.decision_points) {
+              failures.record(tag + ": " + std::to_string(sink.events) +
+                              " events for " + std::to_string(placed) +
+                              " placements, " +
+                              std::to_string(q.decision_points) +
+                              " decisions");
+            }
+            boundaries.fetch_add(sink.boundaries, std::memory_order_relaxed);
+          }
+      });
+  EXPECT_EQ(failures.count.load(), 0) << failures.first;
+  EXPECT_GT(boundaries.load(), 0);
 }
 
 // Profiling spans (obs/prof.hpp) and quality counters (obs/quality.hpp)

@@ -115,7 +115,9 @@ TEST(Dvq, Fig2bMissShrinksWithDelta) {
 
 TEST(Dvq, WorkConservation) {
   // At every decision instant recorded by the engine, a processor is
-  // left idle only when no ready subtask remains.
+  // left idle only when no ready subtask remains: the decision boundary
+  // (the best subtask left waiting) exists only if every freed
+  // processor got work.
   const FigureScenario sc = fig2_scenario(kTick, 2);
   DvqDecisionSink decisions;
   DvqOptions opts;
@@ -124,7 +126,7 @@ TEST(Dvq, WorkConservation) {
   for (const DvqDecision& d : decisions.decisions()) {
     // Either every freed processor got work, or no ready subtask was left.
     EXPECT_TRUE(d.started.size() == d.free_procs.size() ||
-                d.left_ready.empty())
+                !d.left_ready.valid())
         << "at " << d.at;
   }
 }

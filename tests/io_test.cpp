@@ -198,5 +198,24 @@ TEST(ChromeTrace, DropCountBecomesTruncationMetadata) {
   EXPECT_EQ(dropped->integer, 37);
 }
 
+// Hostile nesting is rejected with a diagnostic instead of recursing
+// until the stack overflows (a 200,000-deep "[" used to segfault).
+TEST(Json, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW((void)parse_json(nested(kMaxJsonDepth - 1)));
+  EXPECT_NO_THROW((void)parse_json(nested(kMaxJsonDepth)));
+  EXPECT_THROW((void)parse_json(nested(kMaxJsonDepth + 1)),
+               ContractViolation);
+  EXPECT_THROW((void)parse_json(std::string(200000, '[')), ContractViolation);
+  // Objects count toward the same bound.
+  std::string objs;
+  for (int i = 0; i <= kMaxJsonDepth; ++i) objs += R"({"a":)";
+  objs += "1" + std::string(static_cast<std::size_t>(kMaxJsonDepth) + 1, '}');
+  EXPECT_THROW((void)parse_json(objs), ContractViolation);
+}
+
 }  // namespace
 }  // namespace pfair

@@ -63,6 +63,36 @@ TEST(Parse, ErrorsCarryLineNumbers) {
   expect_error("processors 2\n", "no tasks");
 }
 
+// A horizon (or job count) that would give a task more subtasks than
+// SubtaskRef::seq can index is rejected at parse time, naming its line,
+// instead of failing inside schedule allocation.
+TEST(Parse, OversizedHorizonIsRejected) {
+  const auto expect_error = [](const std::string& text,
+                               const std::string& needle) {
+    try {
+      (void)parse_task_string(text);
+      FAIL() << "expected failure for: " << text;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_error("processors 2\nhorizon 9223372036854775807\ntask a 1/2\n"
+               "task b 1/2\n",
+               "line 2: horizon 9223372036854775807 gives task 'a'");
+  // Task lines may precede the horizon line.
+  expect_error("processors 1\ntask a 1/1\n# late horizon\n"
+               "horizon 2147483648\n",
+               "line 4: horizon");
+  expect_error("processors 1\ntask a 3/4 jobs=9223372036854775807\n",
+               "line 2: jobs=");
+  // The largest admissible horizon for weight 1/1 still parses.
+  EXPECT_NO_THROW((void)parse_task_string(
+      "processors 1\nhorizon 2147483647\ntask a 1/1\n"));
+  EXPECT_NO_THROW((void)parse_task_string(
+      "processors 1\nhorizon 4294967294\ntask a 1/2\n"));
+}
+
 TEST(Parse, EffectiveHorizonIsTwoHyperperiods) {
   const ParsedSystem p = parse_task_string(
       "processors 1\n"

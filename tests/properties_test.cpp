@@ -80,6 +80,9 @@ TEST(Properties, ValidityImpliesPfairLagAndViceVersa) {
 TEST(Properties, DvqCompletionOrderRespectsPriorityAtDecisions) {
   // At every logged decision instant, the chosen set never skips a
   // strictly higher-priority ready subtask (work-conserving greedy).
+  // Placements come out in priority order, so checking the boundary
+  // pair — every start against the best subtask left waiting — covers
+  // every waiting subtask.
   const TaskSystem sys = full_system(9, 3, 14);
   const BernoulliYield yields(3, 1, 2, kTick, kQuantum - kTick);
   DvqDecisionSink decisions;
@@ -88,12 +91,11 @@ TEST(Properties, DvqCompletionOrderRespectsPriorityAtDecisions) {
   const DvqSchedule sched = schedule_dvq(sys, yields, opts);
   const PriorityOrder order(sys, Policy::kPd2);
   for (const DvqDecision& d : decisions.decisions()) {
-    for (const SubtaskRef& waiting : d.left_ready) {
-      for (const SubtaskRef& chosen : d.started) {
-        EXPECT_FALSE(order.strictly_higher(waiting, chosen))
-            << "at " << d.at << ": " << waiting << " left while " << chosen
-            << " ran";
-      }
+    if (!d.left_ready.valid()) continue;
+    for (const SubtaskRef& chosen : d.started) {
+      EXPECT_FALSE(order.strictly_higher(d.left_ready, chosen))
+          << "at " << d.at << ": " << d.left_ready << " left while "
+          << chosen << " ran";
     }
   }
 }

@@ -1,10 +1,8 @@
-// Tests for switching/migration accounting and the indexed scheduler
-// ablation (equivalence with the scanning implementation).
+// Tests for switching/migration accounting.
 #include <gtest/gtest.h>
 
 #include "analysis/switching.hpp"
 #include "dvq/dvq_scheduler.hpp"
-#include "sched/indexed_scheduler.hpp"
 #include "sched/sfq_scheduler.hpp"
 #include "workload/generator.hpp"
 
@@ -73,74 +71,6 @@ TEST(Switching, DvqReducesJobBreaksVsSfq) {
       measure_switching(sys, schedule_dvq(sys, yields));
   EXPECT_EQ(sfq.subtasks, dvq.subtasks);
   EXPECT_LE(dvq.job_breaks, sfq.job_breaks);
-}
-
-// ------------------------------------------------------ indexed scheduler
-
-TEST(IndexedScheduler, MatchesScanningImplementation) {
-  for (const Policy pol :
-       {Policy::kEpdf, Policy::kPf, Policy::kPd, Policy::kPd2}) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      GeneratorConfig cfg;
-      cfg.processors = static_cast<int>(2 + seed % 3);
-      cfg.target_util = Rational(cfg.processors);
-      cfg.horizon = 20;
-      cfg.seed = seed;
-      const TaskSystem sys = generate_periodic(cfg);
-      SfqOptions opts;
-      opts.policy = pol;
-      const SlotSchedule a = schedule_sfq(sys, opts);
-      const SlotSchedule b = schedule_sfq_indexed(sys, opts);
-      for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
-        for (std::int32_t s = 0; s < sys.task(k).num_subtasks(); ++s) {
-          const SubtaskRef ref{k, s};
-          ASSERT_EQ(a.placement(ref).slot, b.placement(ref).slot)
-              << to_string(pol) << " seed " << seed << " " << ref;
-          ASSERT_EQ(a.placement(ref).proc, b.placement(ref).proc)
-              << to_string(pol) << " seed " << seed << " " << ref;
-        }
-      }
-    }
-  }
-}
-
-TEST(IndexedScheduler, MatchesOnGisSystems) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    GeneratorConfig cfg;
-    cfg.processors = 3;
-    cfg.target_util = Rational(3);
-    cfg.horizon = 18;
-    cfg.seed = seed;
-    const TaskSystem gis = advance_eligibility(
-        drop_subtasks(add_is_jitter(generate_periodic(cfg), 2, 1, 4,
-                                    seed + 1),
-                      1, 6, seed + 2),
-        3, 1, 3, seed + 3);
-    const SlotSchedule a = schedule_sfq(gis);
-    const SlotSchedule b = schedule_sfq_indexed(gis);
-    for (std::int32_t k = 0; k < gis.num_tasks(); ++k) {
-      for (std::int32_t s = 0; s < gis.task(k).num_subtasks(); ++s) {
-        const SubtaskRef ref{k, s};
-        ASSERT_EQ(a.placement(ref).slot, b.placement(ref).slot)
-            << "seed " << seed;
-      }
-    }
-  }
-}
-
-TEST(IndexedScheduler, HorizonTruncationMatches) {
-  std::vector<Task> tasks;
-  tasks.push_back(Task::periodic("T", Weight(1, 2), 30));
-  const TaskSystem sys(std::move(tasks), 1);
-  SfqOptions opts;
-  opts.horizon_limit = 5;
-  const SlotSchedule a = schedule_sfq(sys, opts);
-  const SlotSchedule b = schedule_sfq_indexed(sys, opts);
-  EXPECT_EQ(a.complete(), b.complete());
-  for (std::int32_t s = 0; s < sys.task(0).num_subtasks(); ++s) {
-    EXPECT_EQ(a.placement(SubtaskRef{0, s}).slot,
-              b.placement(SubtaskRef{0, s}).slot);
-  }
 }
 
 }  // namespace

@@ -33,6 +33,8 @@
 //                              printed and force a nonzero exit
 //   --capture=<path>           with --audit: on the first finding, write a
 //                              shrunk replayable pfair-capture-v1 bundle
+//                              (sfq and dvq; bundles replay against
+//                              their oracles, which have no stag model)
 //   --fast-forward             detect the steady-state cycle and skip
 //                              whole hyperperiods instead of simulating
 //                              them (sfq and dvq; exact — the result is
@@ -40,17 +42,19 @@
 //                              the detected prefix/cycle split.
 //   --quiet                    suppress the rendered schedule
 //
-// --trace/--metrics/--prom/--chrome-trace/--audit cover sfq and dvq;
-// the staggered model keeps its own loop and is not instrumented.
-// Under --fast-forward the sfq trace/audit sinks are fed by replaying
-// the decision stream of the compressed schedule (--metrics/--prom
-// still need a live run and are ignored); the dvq fast-forward path has
-// no replay, so observability flags are ignored there.
+// --trace/--metrics/--prom/--chrome-trace/--audit cover every model;
+// the staggered model runs on the DVQ engine, so the auditor applies
+// the DVQ one-quantum allowance to it.  Under --fast-forward the sfq
+// trace/audit sinks are fed by replaying the decision stream of the
+// compressed schedule (--metrics/--prom still need a live run and are
+// ignored); the dvq fast-forward path has no replay, so observability
+// flags are ignored there, and stag never fast-forwards.
 //
 // Live sfq/dvq runs additionally maintain scheduler-quality counters
 // (preemptions, migrations, idle capacity, context switches) and verify
 // them against the offline recount (analysis/recount.hpp); a mismatch
-// is a scheduler bug and forces a nonzero exit.
+// is a scheduler bug and forces a nonzero exit.  The recount replays
+// work-conserving decision instants, so stag runs skip the counters.
 //
 // The task file format is documented in src/io/parse.hpp.
 #include <chrono>
@@ -183,6 +187,10 @@ CliOptions parse_cli(int argc, char** argv) {
     }
   }
   if (o.file.empty() && !o.demo) usage("no task file");
+  if (!o.capture_path.empty() && o.model == CliOptions::Model::kStaggered) {
+    usage("--capture is not supported for --model=stag (bundles replay "
+          "against the sfq/dvq oracles)");
+  }
   return o;
 }
 
@@ -302,17 +310,13 @@ int run(const CliOptions& o) {
   // Observability plumbing: --trace streams JSONL, --chrome-trace keeps
   // a bounded ring of events for the decision instants, --metrics fills
   // a registry, --audit runs the invariant auditor inline (and --capture
-  // additionally records a replayable counterexample bundle).  The
-  // staggered model runs its own loop and supports none of them.
+  // additionally records a replayable counterexample bundle).
   const bool stag = o.model == CliOptions::Model::kStaggered;
-  const bool dvq_ff = o.fast_forward && o.model == CliOptions::Model::kDvq;
+  const bool ff = o.fast_forward && !stag;  // stag runs never fast-forward
+  const bool dvq_ff = ff && o.model == CliOptions::Model::kDvq;
   const bool wants_obs = !o.trace_path.empty() || !o.chrome_path.empty() ||
                          !o.metrics_path.empty() || !o.prom_path.empty() ||
                          o.audit;
-  if (stag && wants_obs) {
-    std::cerr << "pfairsim: warning: --trace/--chrome-trace/--metrics/"
-                 "--audit are not supported for --model=stag; ignoring\n";
-  }
   if (stag && o.fast_forward) {
     std::cerr << "pfairsim: warning: --fast-forward is not supported for "
                  "--model=stag; ignoring\n";
@@ -327,18 +331,18 @@ int run(const CliOptions& o) {
     std::cerr << "pfairsim: warning: --metrics/--prom need a live "
                  "instrumented run; ignoring them under --fast-forward\n";
   }
-  // Observability sinks are built for live sfq/dvq runs and for the sfq
+  // Observability sinks are built for live runs and for the sfq
   // fast-forward path (fed by decision replay).  --metrics/--prom count
   // scheduler internals a replay cannot reconstruct, so they are
-  // live-only; the same goes for the quality counters.
-  const bool obs = !stag && !dvq_ff;
+  // live-only; the same goes for the quality counters, which stag runs
+  // skip (see the header note).
+  const bool obs = !dvq_ff;
   MetricsRegistry reg;
   MetricsRegistry* metrics =
-      obs && !o.fast_forward &&
-              (!o.metrics_path.empty() || !o.prom_path.empty())
+      obs && !ff && (!o.metrics_path.empty() || !o.prom_path.empty())
           ? &reg
           : nullptr;
-  const bool want_quality = obs && !o.fast_forward;
+  const bool want_quality = obs && !ff && !stag;
   QualityCounters qual;
   bool quality_ok = true;
   // Prints the counters and verifies them against the offline recount —
@@ -485,25 +489,21 @@ int run(const CliOptions& o) {
   } else {
     DvqSchedule sched = [&]() -> DvqSchedule {
       PFAIR_PROF_SPAN(kSimulate);
-      if (o.model == CliOptions::Model::kDvq) {
-        DvqOptions dopts;
-        dopts.policy = o.policy;
-        if (o.fast_forward) {
-          const DvqCycleSchedule cyc =
-              schedule_dvq_cyclic(*sys, *yields, dopts);
-          print_cycle_stats(cyc.stats());
-          const std::int64_t slots =
-              cyc.makespan().raw_ticks() / kTicksPerSlot + 1;
-          return cyc.materialize(slots);
-        }
-        dopts.trace = sink;
-        dopts.metrics = metrics;
-        dopts.quality = want_quality ? &qual : nullptr;
-        return schedule_dvq(*sys, *yields, dopts);
+      DvqOptions dopts;
+      dopts.policy = o.policy;
+      if (dvq_ff) {
+        const DvqCycleSchedule cyc =
+            schedule_dvq_cyclic(*sys, *yields, dopts);
+        print_cycle_stats(cyc.stats());
+        const std::int64_t slots =
+            cyc.makespan().raw_ticks() / kTicksPerSlot + 1;
+        return cyc.materialize(slots);
       }
-      StaggeredOptions sopts;
-      sopts.policy = o.policy;
-      return schedule_staggered(*sys, *yields, sopts);
+      dopts.trace = sink;
+      dopts.metrics = metrics;
+      dopts.quality = want_quality ? &qual : nullptr;
+      return stag ? schedule_staggered(*sys, *yields, dopts)
+                  : schedule_dvq(*sys, *yields, dopts);
     }();
     if (!o.quiet) {
       PFAIR_PROF_SPAN(kRender);
