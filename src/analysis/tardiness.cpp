@@ -130,12 +130,10 @@ template <class Sched, class TardFn, class PlacedFn>
 void record_metrics(const TaskSystem& sys, const Sched& sched,
                     MetricsRegistry& reg, TardFn tard_ticks,
                     PlacedFn placed) {
-  Histogram& overall = reg.histogram("sched.tardiness_ticks");
   std::int64_t max_ticks = 0, unscheduled = 0;
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
-    Histogram& per_task =
-        reg.histogram("task." + task.name() + ".tardiness_ticks");
+    HistogramTally per_task;
     for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
       const SubtaskRef ref{k, s};
       if (!placed(sched, ref)) {
@@ -143,10 +141,11 @@ void record_metrics(const TaskSystem& sys, const Sched& sched,
         continue;
       }
       const std::int64_t t = tard_ticks(sys, sched, ref);
-      overall.add(t);
       per_task.add(t);
       max_ticks = std::max(max_ticks, t);
     }
+    reg.histogram("task." + task.name() + ".tardiness_ticks")
+        .merge_from(per_task);
   }
   reg.gauge("sched.tardiness_max_ticks").set_max(max_ticks);
   reg.gauge("sched.unscheduled_subtasks").set(unscheduled);

@@ -60,12 +60,13 @@ struct TardinessSummary {
 [[nodiscard]] std::vector<std::int64_t> tardiness_values_ticks(
     const TaskSystem& sys, const DvqSchedule& sched);
 
-/// Records the schedule's tardiness distribution into `reg`: the overall
-/// "sched.tardiness_ticks" histogram plus one
+/// Records the schedule's tardiness distribution into `reg`: one
 /// "task.<name>.tardiness_ticks" histogram per task, and gauges
 /// "sched.tardiness_max_ticks" / "sched.unscheduled_subtasks" — the
-/// snapshot the per-run metrics JSON reports.  Unscheduled subtasks are
-/// counted, not histogrammed.
+/// snapshot the per-run metrics JSON reports.  The overall
+/// "sched.tardiness_ticks" histogram is the simulators' (obs/probe.hpp),
+/// which sees each placement once.  Unscheduled subtasks are counted,
+/// not histogrammed.
 void record_tardiness_metrics(const TaskSystem& sys,
                               const SlotSchedule& sched,
                               MetricsRegistry& reg);
