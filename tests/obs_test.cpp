@@ -311,5 +311,154 @@ TEST(TraceEventJson, RoundTripsThroughTheParser) {
   EXPECT_EQ(v.at("d").integer, 7);
 }
 
+TraceEvent golden_event(TraceEventKind kind, std::int64_t ticks,
+                        SubtaskRef subject = {}, SubtaskRef other = {},
+                        int proc = -1, std::int32_t aux = 0,
+                        std::int64_t detail = 0) {
+  TraceEvent e;
+  e.kind = kind;
+  e.at = Time::ticks(ticks);
+  e.subject = subject;
+  e.other = other;
+  e.proc = proc;
+  e.aux = aux;
+  e.detail = detail;
+  return e;
+}
+
+// The JSONL wire format, byte for byte: pfairtrace, capture bundles and
+// every committed trace file depend on it.
+TEST(TraceEventJson, GoldenBytesForEveryKind) {
+  using K = TraceEventKind;
+  const std::pair<TraceEvent, const char*> cases[] = {
+      {golden_event(K::kSlotBegin, 0), R"({"k": "slot_begin", "t": 0})"},
+      {golden_event(K::kEventBegin, 1536),
+       R"({"k": "event_begin", "t": 1536})"},
+      {golden_event(K::kReadySet, 7, {}, {}, -1, 0, 12),
+       R"({"k": "ready_set", "t": 7, "d": 12})"},
+      {golden_event(K::kCompare, 5, {2, 4}, {0, 1}, -1,
+                    static_cast<std::int32_t>(TieRule::kBBit)),
+       R"({"k": "compare", "t": 5, "task": 2, "seq": 4, "vs_task": 0, )"
+       R"("vs_seq": 1, "rule": "bbit"})"},
+      {golden_event(K::kPlace, 1048576, {1, 0}, {}, 0, 0, 1024),
+       R"({"k": "place", "t": 1048576, "task": 1, "seq": 0, "proc": 0, )"
+       R"("d": 1024})"},
+      {golden_event(K::kPreempt, 9, {3, 11}, {}, 3),
+       R"({"k": "preempt", "t": 9, "task": 3, "seq": 11, "proc": 3})"},
+      {golden_event(K::kMigrate, 10, {0, 2}, {}, 2, 1),
+       R"({"k": "migrate", "t": 10, "task": 0, "seq": 2, "proc": 2, )"
+       R"("aux": 1})"},
+      {golden_event(K::kProcFree, 11, {}, {}, 1),
+       R"({"k": "proc_free", "t": 11, "proc": 1})"},
+      {golden_event(K::kProcIdle, 12, {}, {}, -1, 1, 2),
+       R"({"k": "proc_idle", "t": 12, "aux": 1, "d": 2})"},
+      {golden_event(K::kDeadlineHit, 13, {4, 5}),
+       R"({"k": "deadline_hit", "t": 13, "task": 4, "seq": 5})"},
+      {golden_event(K::kDeadlineMiss, 14, {4, 6}, {}, -1, 0, 256),
+       R"({"k": "deadline_miss", "t": 14, "task": 4, "seq": 6, "d": 256})"},
+      {golden_event(K::kAuditFinding, 15, {6, 7}, {}, -1, 3, -5),
+       R"({"k": "audit_finding", "t": 15, "task": 6, "seq": 7, "aux": 3, )"
+       R"("d": -5})"},
+  };
+  for (const auto& [e, want] : cases) {
+    EXPECT_EQ(trace_event_json(e), want) << to_string(e.kind);
+  }
+}
+
+TEST(TraceEventJson, GoldenBytesForEveryTieRule) {
+  const std::pair<TieRule, const char*> rules[] = {
+      {TieRule::kDeadline, "deadline"},
+      {TieRule::kBBit, "bbit"},
+      {TieRule::kGroupDeadline, "group_deadline"},
+      {TieRule::kWeight, "weight"},
+      {TieRule::kTie, "tie"},
+  };
+  for (const auto& [rule, name] : rules) {
+    const TraceEvent e =
+        golden_event(TraceEventKind::kCompare, 3, {1, 2}, {3, 4}, -1,
+                     static_cast<std::int32_t>(rule));
+    EXPECT_EQ(trace_event_json(e),
+              std::string(R"({"k": "compare", "t": 3, "task": 1, "seq": 2, )"
+                          R"("vs_task": 3, "vs_seq": 4, "rule": ")") +
+                  name + "\"}");
+  }
+  // An out-of-range rule index still serializes (as "?").
+  EXPECT_EQ(trace_event_json(
+                golden_event(TraceEventKind::kCompare, 0, {}, {}, -1, 5)),
+            R"({"k": "compare", "t": 0, "rule": "?"})");
+}
+
+TEST(TraceEventJson, GoldenBytesForEdgeFields) {
+  using K = TraceEventKind;
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<TraceEvent, const char*> cases[] = {
+      // A half-valid ref is invalid: neither field is written.
+      {golden_event(K::kPlace, 1, {0, -1}, {-1, 3}, 0),
+       R"({"k": "place", "t": 1, "proc": 0})"},
+      {golden_event(K::kPlace, 1, {-1, -1}, {}, -1),
+       R"({"k": "place", "t": 1})"},
+      {golden_event(K::kCompare, 2, {5, 0}, {0, -1}),
+       R"({"k": "compare", "t": 2, "task": 5, "seq": 0, "rule": "deadline"})"},
+      {golden_event(K::kMigrate, 3, {}, {}, 7, -2),
+       R"({"k": "migrate", "t": 3, "proc": 7, "aux": -2})"},
+      {golden_event(K::kAuditFinding, 4, {}, {}, -1,
+                    std::numeric_limits<std::int32_t>::min(), -1),
+       R"({"k": "audit_finding", "t": 4, "aux": -2147483648, "d": -1})"},
+      {golden_event(K::kReadySet, -1048576, {}, {}, -1, 0, kMin),
+       R"({"k": "ready_set", "t": -1048576, "d": -9223372036854775808})"},
+      {golden_event(K::kReadySet, kMax, {2147483647, 2147483647},
+                    {2147483647, 0}, 2147483647, 2147483647, kMax),
+       R"({"k": "ready_set", "t": 9223372036854775807, "task": 2147483647, )"
+       R"("seq": 2147483647, "vs_task": 2147483647, "vs_seq": 0, )"
+       R"("proc": 2147483647, "aux": 2147483647, )"
+       R"("d": 9223372036854775807})"},
+  };
+  for (const auto& [e, want] : cases) {
+    EXPECT_EQ(trace_event_json(e), want) << to_string(e.kind);
+  }
+}
+
+// Records every event, for comparing a JSONL stream
+// against the serialization of the same event sequence.
+class RecordingSink final : public TraceSink {
+ public:
+  void on_event(const TraceEvent& e) override { events.push_back(e); }
+  std::vector<TraceEvent> events;
+};
+
+std::string joined_lines(const std::vector<TraceEvent>& events) {
+  std::string out;
+  for (const TraceEvent& e : events) out += trace_event_json(e) + '\n';
+  return out;
+}
+
+TEST(JsonlSink, SfqStreamIsTheJoinedEventLines) {
+  std::ostringstream os;
+  JsonlSink jsonl(os);
+  RecordingSink rec;
+  TeeSink tee(&rec, &jsonl);
+  SfqOptions opts;
+  opts.trace = &tee;
+  (void)schedule_sfq(fig6_system(), opts);
+  ASSERT_GT(rec.events.size(), 0u);
+  EXPECT_EQ(jsonl.lines(), rec.events.size());
+  EXPECT_EQ(os.str(), joined_lines(rec.events));
+}
+
+TEST(JsonlSink, DvqStreamIsTheJoinedEventLines) {
+  const FigureScenario sc = fig2_scenario(Time::ticks(kTicksPerSlot / 8));
+  std::ostringstream os;
+  JsonlSink jsonl(os);
+  RecordingSink rec;
+  TeeSink tee(&rec, &jsonl);
+  DvqOptions opts;
+  opts.trace = &tee;
+  (void)schedule_dvq(sc.system, *sc.yields, opts);
+  ASSERT_GT(rec.events.size(), 0u);
+  EXPECT_EQ(jsonl.lines(), rec.events.size());
+  EXPECT_EQ(os.str(), joined_lines(rec.events));
+}
+
 }  // namespace
 }  // namespace pfair
