@@ -7,44 +7,64 @@
 
 namespace pfair {
 
-std::string csv_escape(const std::string& field) {
-  const bool needs_quote =
-      field.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quote) return field;
-  std::string out = "\"";
-  for (const char c : field) {
-    if (c == '"') out += '"';
-    out += c;
+namespace {
+
+void append_escaped(std::string& out, std::string_view field) {
+  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
+    out.append(field);
+    return;
   }
-  out += '"';
+  out.push_back('"');
+  for (const char c : field) {
+    if (c == '"') out.push_back('"');
+    out.push_back(c);
+  }
+  out.push_back('"');
+}
+
+void append_line(std::string& out, const std::vector<std::string>& cols) {
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    append_escaped(out, cols[i]);
+  }
+  out.push_back('\n');
+}
+
+}  // namespace
+
+std::string csv_escape(const std::string& field) {
+  std::string out;
+  append_escaped(out, field);
   return out;
 }
 
-CsvWriter& CsvWriter::header(std::vector<std::string> cols) {
-  header_ = std::move(cols);
+CsvWriter& CsvWriter::header(const std::vector<std::string>& cols) {
+  header_.clear();
+  if (!cols.empty()) append_line(header_, cols);
+  width_ = cols.size();
   return *this;
 }
 
-CsvWriter& CsvWriter::row(std::vector<std::string> cols) {
-  if (!header_.empty()) {
-    PFAIR_REQUIRE(cols.size() == header_.size(),
-                  "CSV row width " << cols.size() << " != header width "
-                                   << header_.size());
-  }
-  rows_.push_back(std::move(cols));
+CsvWriter& CsvWriter::row(const std::vector<std::string>& cols) {
+  check_width(cols.size());
+  append_line(text_, cols);
+  ++rows_;
   return *this;
 }
+
+void CsvWriter::check_width(std::size_t cols) const {
+  if (width_ != 0) {
+    PFAIR_REQUIRE(cols == width_, "CSV row width " << cols
+                                                   << " != header width "
+                                                   << width_);
+  }
+}
+
+void CsvWriter::put(std::string_view field) { append_escaped(text_, field); }
 
 void CsvWriter::write(std::ostream& os) const {
-  auto emit = [&os](const std::vector<std::string>& cols) {
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      if (i > 0) os << ',';
-      os << csv_escape(cols[i]);
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
+  os.write(header_.data(), static_cast<std::streamsize>(header_.size()));
+  os.write(text_.data(), static_cast<std::streamsize>(text_.size()));
 }
 
 void CsvWriter::write_file(const std::string& path) const {

@@ -1,5 +1,6 @@
 #include "io/export.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -119,17 +120,19 @@ CsvWriter export_task_system(const TaskSystem& sys) {
             "deadline", "eligible", "bbit", "group_deadline"});
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
+    const std::string weight = task.weight().str();
     for (std::int32_t i = 0; i < task.num_subtasks(); ++i) {
       const Subtask s = task.subtask_at(i);
-      w.row({std::to_string(k), task.name(), task.weight().str(),
-             std::to_string(s.index), std::to_string(s.theta),
-             std::to_string(s.release), std::to_string(s.deadline),
-             std::to_string(s.eligible), s.bbit ? "1" : "0",
-             std::to_string(s.group_deadline)});
+      w.append_row(k, task.name(), weight, s.index, s.theta, s.release,
+                   s.deadline, s.eligible, s.bbit ? 1 : 0, s.group_deadline);
     }
   }
   return w;
 }
+
+// The schedule exports synthesize each placed subtask once and derive
+// its tardiness from that copy (subtask_tardiness* would synthesize it
+// again): max(0, completion - deadline), in slots or ticks.
 
 CsvWriter export_slot_schedule(const TaskSystem& sys,
                                const SlotSchedule& sched) {
@@ -139,14 +142,11 @@ CsvWriter export_slot_schedule(const TaskSystem& sys,
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
     for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const SubtaskRef ref{k, s};
-      const SlotPlacement& p = sched.placement(ref);
+      const SlotPlacement& p = sched.placement(SubtaskRef{k, s});
       if (!p.scheduled()) continue;
-      w.row({std::to_string(k), task.name(),
-             std::to_string(task.subtask(s).index), std::to_string(p.slot),
-             std::to_string(p.proc),
-             std::to_string(task.subtask(s).deadline),
-             std::to_string(subtask_tardiness(sys, sched, ref))});
+      const Subtask sub = task.subtask(s);
+      w.append_row(k, task.name(), sub.index, p.slot, p.proc, sub.deadline,
+                   std::max<std::int64_t>(0, p.slot + 1 - sub.deadline));
     }
   }
   return w;
@@ -160,15 +160,13 @@ CsvWriter export_dvq_schedule(const TaskSystem& sys,
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
     for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const SubtaskRef ref{k, s};
-      const DvqPlacement& p = sched.placement(ref);
+      const DvqPlacement& p = sched.placement(SubtaskRef{k, s});
       if (!p.placed) continue;
-      w.row({std::to_string(k), task.name(),
-             std::to_string(task.subtask(s).index),
-             std::to_string(p.start.raw_ticks()),
-             std::to_string(p.cost.raw_ticks()), std::to_string(p.proc),
-             std::to_string(task.subtask(s).deadline),
-             std::to_string(subtask_tardiness_ticks(sys, sched, ref))});
+      const Subtask sub = task.subtask(s);
+      const Time late = p.completion() - Time::slots(sub.deadline);
+      w.append_row(k, task.name(), sub.index, p.start.raw_ticks(),
+                   p.cost.raw_ticks(), p.proc, sub.deadline,
+                   std::max<std::int64_t>(0, late.raw_ticks()));
     }
   }
   return w;

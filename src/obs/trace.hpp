@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "core/time.hpp"
@@ -120,13 +121,16 @@ class RingBufferSink final : public TraceSink {
 };
 
 /// Streaming sink: one JSON object per event, one per line (JSONL).
-/// The stream must outlive the sink.
+/// Each line is formatted into a stack buffer and handed to the stream
+/// in a single write.  The sink never flushes the stream: lines sit in
+/// its buffer until it fills or its owner flushes it, and the owner
+/// checks the stream state for write errors.  The stream must outlive
+/// the sink.
 class JsonlSink final : public TraceSink {
  public:
   explicit JsonlSink(std::ostream& os) : os_(&os) {}
 
   void on_event(const TraceEvent& e) override;
-  void flush() override;
 
   [[nodiscard]] std::uint64_t lines() const { return lines_; }
 

@@ -46,9 +46,14 @@
 // the staggered model runs on the DVQ engine, so the auditor applies
 // the DVQ one-quantum allowance to it.  Under --fast-forward the sfq
 // trace/audit sinks are fed by replaying the decision stream of the
-// compressed schedule (--metrics/--prom still need a live run and are
-// ignored); the dvq fast-forward path has no replay, so observability
-// flags are ignored there, and stag never fast-forwards.
+// compressed schedule.  Combinations that cannot work are refused with
+// exit 2 rather than ignored: --metrics/--prom under --fast-forward
+// (they count scheduler internals a replay cannot reconstruct), any
+// observability flag under --fast-forward --model=dvq (that path has no
+// decision replay), and --fast-forward --model=stag.
+//
+// Every output file is flushed and checked after writing; a failed
+// write (e.g. a full disk) exits 2 naming the path.
 //
 // Live sfq/dvq runs additionally maintain scheduler-quality counters
 // (preemptions, migrations, idle capacity, context switches) and verify
@@ -191,6 +196,22 @@ CliOptions parse_cli(int argc, char** argv) {
     usage("--capture is not supported for --model=stag (bundles replay "
           "against the sfq/dvq oracles)");
   }
+  if (o.fast_forward) {
+    if (o.model == CliOptions::Model::kStaggered) {
+      usage("--fast-forward is not supported for --model=stag");
+    }
+    if (o.model == CliOptions::Model::kDvq &&
+        (!o.trace_path.empty() || !o.chrome_path.empty() ||
+         !o.metrics_path.empty() || !o.prom_path.empty() || o.audit)) {
+      usage("--fast-forward --model=dvq has no decision replay; "
+            "--trace/--chrome-trace/--metrics/--prom/--audit need a live "
+            "run");
+    }
+    if (!o.metrics_path.empty() || !o.prom_path.empty()) {
+      usage("--metrics/--prom need a live instrumented run; they are not "
+            "supported with --fast-forward");
+    }
+  }
   return o;
 }
 
@@ -208,6 +229,13 @@ std::unique_ptr<YieldModel> make_yields(const CliOptions& o) {
         o.seed, n, d, Time::ticks(kTicksPerSlot / 4), kQuantum - kTick);
   }
   usage("unknown yield spec '" + o.yield_spec + "'");
+}
+
+// Flushes an output stream and throws ContractViolation (exit 2) naming
+// `path` if any write to it failed.
+void check_output(std::ofstream& f, const std::string& path) {
+  f.flush();
+  PFAIR_REQUIRE(f.good(), "write to " << path << " failed");
 }
 
 // Serializes an arbitrary yield model for a capture bundle.  The common
@@ -243,6 +271,15 @@ CaptureBundle::YieldSpec yield_spec_for_capture(const CliOptions& o,
     }
   }
   return spec;
+}
+
+// Writes `text` to `path`; a file that cannot be opened or written is a
+// ContractViolation (exit 2).
+void write_output(const std::string& path, const std::string& text) {
+  std::ofstream f(path);
+  PFAIR_REQUIRE(f.good(), "cannot open " << path << " for writing");
+  f << text;
+  check_output(f, path);
 }
 
 void print_cycle_stats(const CycleStats& st) {
@@ -311,38 +348,16 @@ int run(const CliOptions& o) {
   // a bounded ring of events for the decision instants, --metrics fills
   // a registry, --audit runs the invariant auditor inline (and --capture
   // additionally records a replayable counterexample bundle).
+  // parse_cli refused the combinations a run cannot honour, so every
+  // flag given here is served.  Observability sinks are built for live
+  // runs and for the sfq fast-forward path (fed by decision replay); the
+  // quality counters need a live run, and stag runs skip them (see the
+  // header note).
   const bool stag = o.model == CliOptions::Model::kStaggered;
-  const bool ff = o.fast_forward && !stag;  // stag runs never fast-forward
-  const bool dvq_ff = ff && o.model == CliOptions::Model::kDvq;
-  const bool wants_obs = !o.trace_path.empty() || !o.chrome_path.empty() ||
-                         !o.metrics_path.empty() || !o.prom_path.empty() ||
-                         o.audit;
-  if (stag && o.fast_forward) {
-    std::cerr << "pfairsim: warning: --fast-forward is not supported for "
-                 "--model=stag; ignoring\n";
-  }
-  if (dvq_ff && wants_obs) {
-    std::cerr << "pfairsim: warning: the dvq fast-forward path has no "
-                 "decision replay; ignoring --trace/--chrome-trace/"
-                 "--metrics/--audit\n";
-  }
-  if (o.fast_forward && o.model == CliOptions::Model::kSfq &&
-      (!o.metrics_path.empty() || !o.prom_path.empty())) {
-    std::cerr << "pfairsim: warning: --metrics/--prom need a live "
-                 "instrumented run; ignoring them under --fast-forward\n";
-  }
-  // Observability sinks are built for live runs and for the sfq
-  // fast-forward path (fed by decision replay).  --metrics/--prom count
-  // scheduler internals a replay cannot reconstruct, so they are
-  // live-only; the same goes for the quality counters, which stag runs
-  // skip (see the header note).
-  const bool obs = !dvq_ff;
   MetricsRegistry reg;
   MetricsRegistry* metrics =
-      obs && !ff && (!o.metrics_path.empty() || !o.prom_path.empty())
-          ? &reg
-          : nullptr;
-  const bool want_quality = obs && !ff && !stag;
+      !o.metrics_path.empty() || !o.prom_path.empty() ? &reg : nullptr;
+  const bool want_quality = !o.fast_forward && !stag;
   QualityCounters qual;
   bool quality_ok = true;
   // Prints the counters and verifies them against the offline recount —
@@ -376,7 +391,7 @@ int run(const CliOptions& o) {
     // Sink setup is real work — the chrome-trace ring alone zero-fills
     // megabytes — so it gets a construction span of its own.
     PFAIR_PROF_SPAN(kConstruction);
-    if (obs && !o.trace_path.empty()) {
+    if (!o.trace_path.empty()) {
       trace_f.open(o.trace_path);
       if (!trace_f) {
         std::cerr << "pfairsim: cannot open " << o.trace_path << "\n";
@@ -384,14 +399,14 @@ int run(const CliOptions& o) {
       }
       jsonl = std::make_unique<JsonlSink>(trace_f);
     }
-    if (obs && !o.chrome_path.empty()) {
+    if (!o.chrome_path.empty()) {
       // With --metrics the ring also publishes its drop count.
       ring = metrics != nullptr
                  ? std::make_unique<RingBufferSink>(std::size_t{1} << 18,
                                                     reg)
                  : std::make_unique<RingBufferSink>(std::size_t{1} << 18);
     }
-    if (obs && o.audit) {
+    if (o.audit) {
       auditor = std::make_unique<InvariantAuditor>(*sys);
       if (metrics != nullptr) auditor->attach_metrics(reg);
       if (!o.capture_path.empty()) {
@@ -476,22 +491,21 @@ int run(const CliOptions& o) {
     }
     if (!o.chrome_path.empty()) {
       PFAIR_PROF_SPAN(kExport);
-      std::ofstream f(o.chrome_path);
       const std::vector<TraceEvent> events =
           ring != nullptr ? ring->snapshot() : std::vector<TraceEvent>{};
-      f << export_chrome_trace(*sys, sched, chrome_extras(events));
+      write_output(o.chrome_path,
+                   export_chrome_trace(*sys, sched, chrome_extras(events)));
     }
     if (!o.svg_path.empty()) {
       PFAIR_PROF_SPAN(kRender);
-      std::ofstream f(o.svg_path);
-      f << render_slot_schedule_svg(*sys, sched);
+      write_output(o.svg_path, render_slot_schedule_svg(*sys, sched));
     }
   } else {
     DvqSchedule sched = [&]() -> DvqSchedule {
       PFAIR_PROF_SPAN(kSimulate);
       DvqOptions dopts;
       dopts.policy = o.policy;
-      if (dvq_ff) {
+      if (o.fast_forward) {
         const DvqCycleSchedule cyc =
             schedule_dvq_cyclic(*sys, *yields, dopts);
         print_cycle_stats(cyc.stats());
@@ -523,19 +537,19 @@ int run(const CliOptions& o) {
     }
     if (!o.chrome_path.empty()) {
       PFAIR_PROF_SPAN(kExport);
-      std::ofstream f(o.chrome_path);
       const std::vector<TraceEvent> events =
           ring != nullptr ? ring->snapshot() : std::vector<TraceEvent>{};
-      f << export_chrome_trace(*sys, sched, chrome_extras(events));
+      write_output(o.chrome_path,
+                   export_chrome_trace(*sys, sched, chrome_extras(events)));
     }
     if (!o.svg_path.empty()) {
       PFAIR_PROF_SPAN(kRender);
-      std::ofstream f(o.svg_path);
-      f << render_dvq_schedule_svg(*sys, sched);
+      write_output(o.svg_path, render_dvq_schedule_svg(*sys, sched));
     }
   }
   if (jsonl != nullptr) {
     PFAIR_PROF_SPAN(kRender);
+    check_output(trace_f, o.trace_path);
     std::cout << "trace: " << jsonl->lines() << " events -> " << o.trace_path
               << "\n";
   }
@@ -546,13 +560,11 @@ int run(const CliOptions& o) {
     if (want_quality) publish_quality(qual, reg);
     if (o.profile) prof::publish_profile(profiler.snapshot(), reg);
     if (!o.metrics_path.empty()) {
-      std::ofstream f(o.metrics_path);
-      f << metrics_to_json(reg.snapshot(), 2) << "\n";
+      write_output(o.metrics_path, metrics_to_json(reg.snapshot(), 2) + "\n");
       std::cout << "metrics written to " << o.metrics_path << "\n";
     }
     if (!o.prom_path.empty()) {
-      std::ofstream f(o.prom_path);
-      f << metrics_to_prometheus(reg.snapshot());
+      write_output(o.prom_path, metrics_to_prometheus(reg.snapshot()));
       std::cout << "prometheus metrics written to " << o.prom_path << "\n";
     }
   }
@@ -575,12 +587,7 @@ int run(const CliOptions& o) {
       }
       if (recorder != nullptr && recorder->captured()) {
         const CaptureBundle shrunk = shrink_bundle(recorder->bundle());
-        std::ofstream f(o.capture_path);
-        if (!f) {
-          std::cerr << "pfairsim: cannot open " << o.capture_path << "\n";
-          return 2;
-        }
-        f << capture_to_json(shrunk);
+        write_output(o.capture_path, capture_to_json(shrunk));
         std::cout << "counterexample (" << shrunk.tasks.size()
                   << " task(s)) written to " << o.capture_path << "\n";
       }
